@@ -45,6 +45,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "-loss must be in [0, 0.5]")
 		return 2
 	}
+	// The experiments compare a home node against remote ones, so every
+	// one of them needs at least two processors.
+	if *nodes < 2 {
+		fmt.Fprintln(stderr, "-nodes must be at least 2")
+		return 2
+	}
 
 	fanout.WarnIfSerial(stderr, *parallel)
 

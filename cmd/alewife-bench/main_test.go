@@ -76,3 +76,17 @@ func TestNoActionExitsTwo(t *testing.T) {
 		t.Errorf("unknown flag: exit %d, want 2", code)
 	}
 }
+
+// Every experiment needs a home node and a remote one: node counts below 2
+// are usage errors, not panics or NaN tables.
+func TestTooFewNodesExitsTwo(t *testing.T) {
+	for _, n := range []string{"0", "-1", "1"} {
+		_, errOut, code := runBench(t, "-all", "-quick", "-nodes", n)
+		if code != 2 {
+			t.Errorf("-nodes %s: exit %d, want 2", n, code)
+		}
+		if !strings.Contains(errOut, "-nodes must be at least 2") {
+			t.Errorf("-nodes %s: stderr %q, want the usage message", n, errOut)
+		}
+	}
+}

@@ -62,9 +62,15 @@ func TestSnapshotRoundTripAndCheck(t *testing.T) {
 		}
 	}
 
-	// A fresh run checked against its own snapshot must pass: allocs are
-	// deterministic and attribution shares exactly reproducible.
-	checkOut, checkErr, code := runPerf(t, "-check", path)
+	// A fresh run checked against its own snapshot must pass. Attribution
+	// shares are deterministic and gated exactly. Allocs/op is gated tighter
+	// than the default: the simulator's allocations are fixed, but the Go
+	// runtime allocates goroutine records on demand, which moves tiny
+	// workloads by up to 0.05 allocs/op between runs. Wall-clock on tiny
+	// workloads is noise, so ns/op is reported but given a tolerance no run
+	// can exceed; TestCheckFlagsRegression covers that gate.
+	checkOut, checkErr, code := runPerf(t, "-check", path,
+		"-tolerance", "1e9", "-alloc-tolerance", "0.1", "-attrib-tolerance", "0")
 	if code != 0 {
 		t.Fatalf("self-check failed (exit %d):\n%s%s", code, checkOut, checkErr)
 	}

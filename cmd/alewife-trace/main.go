@@ -45,6 +45,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *nodes < 1 {
+		fmt.Fprintln(stderr, "-nodes must be at least 1")
+		return 2
+	}
 
 	mode := alewife.Hybrid
 	if *modeStr == "sm" {

@@ -115,3 +115,15 @@ func TestAttribFlagPrintsBuckets(t *testing.T) {
 		}
 	}
 }
+
+func TestTooFewNodesExitsTwo(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		_, errOut, code := runTrace(t, "-nodes", n)
+		if code != 2 {
+			t.Errorf("-nodes %s: exit %d, want 2", n, code)
+		}
+		if !strings.Contains(errOut, "-nodes must be at least 1") {
+			t.Errorf("-nodes %s: stderr %q, want the usage message", n, errOut)
+		}
+	}
+}

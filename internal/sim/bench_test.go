@@ -48,7 +48,8 @@ func BenchmarkRunChurn(b *testing.B) {
 }
 
 // BenchmarkContextSwitch measures a full context round trip: wake event,
-// resume handoff, Sleep re-arm, yield back to the engine.
+// Sleep re-arm, and resumption (the solo-wake fast path, since the context
+// is alone in the queue).
 func BenchmarkContextSwitch(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -75,9 +76,8 @@ func BenchmarkScheduleFar(b *testing.B) {
 }
 
 // BenchmarkContextPingPong measures a context-to-context transfer: two
-// contexts whose sleeps interleave, so every wake hands the baton directly
-// from one context goroutine to the other (no hop through the Run
-// goroutine, one channel operation per switch).
+// contexts whose sleeps interleave, so every switch yields one coroutine
+// back to the dispatch loop and resumes the other.
 func BenchmarkContextPingPong(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()

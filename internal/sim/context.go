@@ -1,24 +1,30 @@
+// iter.Pull needs go1.23; go.mod stays at go 1.22 because the benchmark module pins it.
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
 // Context is a simulated sequential agent (a processor, a thread). Its body
-// runs on its own goroutine but only one goroutine holds the baton at a
-// time: the body runs only between a resume and the next call into
-// WaitUntil/Sleep/Block, during which no other context or event runs. While
-// parked, a context may itself run the dispatch loop (advance) and hand the
-// baton to whichever activity is due next.
+// is an iter.Pull coroutine driven by the engine's dispatch loop: a due wake
+// resumes the body through next, and the body runs until it parks in
+// WaitUntil/Sleep/Block by yielding back to the loop. Only one of the loop
+// and the bodies runs at a time, so no other context or event runs while a
+// body does.
 type Context struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	done   bool
+	eng  *Engine
+	name string
+	// next resumes the body; yield (set when the body starts) parks it.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
 	// gen counts resumptions; wake events capture the generation at which
 	// they were armed so a stale wake (context already resumed by another
-	// path) is dropped instead of corrupting the park/resume protocol.
+	// path) is dropped instead of resuming the context a second time.
 	gen uint64
 	// blocked is informational: true while parked with no wake event queued.
 	blocked bool
@@ -52,75 +58,35 @@ func (c *Context) Done() bool { return c.done }
 // executes in simulation order; fn returning ends the context.
 //alewife:engine-only
 func (e *Engine) Spawn(name string, at Time, fn func(*Context)) *Context {
-	c := &Context{eng: e, name: name, resume: make(chan struct{}, 1), Node: -1}
+	c := &Context{eng: e, name: name, Node: -1}
 	e.nlive++
 	e.ctxs = append(e.ctxs, c)
-	//alewife:allow determinism context bodies run one-at-a-time under the baton protocol; the spawn is ordered by the resume channel
-	go func() {
-		c.park() // the start event below is an ordinary wake (gen 0)
+	c.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
 		defer func() {
-			// Record a panic from the body so the Run goroutine can
-			// re-raise it where callers (and tests) can observe it instead
-			// of crashing the process from an anonymous goroutine.
-			if r := recover(); r != nil {
-				e.ctxPanic = &panicValue{ctx: name, val: r, stack: string(debug.Stack())}
-			}
+			// A finished context can stay reachable (the core runtime
+			// keeps every thread it started), so it must not pin its
+			// coroutine's closures and captured state.
+			c.next, c.yield = nil, nil
 			c.done = true
 			e.nlive--
 			e.retire()
-			// The finishing goroutine still holds the baton: keep
-			// dispatching until it hands off, returning the baton to the
-			// Run goroutine on a stop condition — or immediately on a
-			// recorded panic, so the panic re-raises there and no further
-			// event runs after it (a dispatched event that panics out of
-			// advance here is recorded the same way).
-			e.exitDispatch(name)
+			// iter.Pull re-raises a body's panic from next, on the Run
+			// goroutine; frame it with the context's name and stack first.
+			if r := recover(); r != nil {
+				panic(fmt.Sprintf("sim: context %s panicked: %v\n--- context stack ---\n%s", name, r, debug.Stack()))
+			}
 		}()
 		fn(c)
-	}()
+	})
 	e.atWake(at, c, 0)
 	return c
-}
-
-// exitDispatch runs the dispatch loop from a finishing context's goroutine
-// and returns the baton to Run when the loop stops or an event panics.
-func (e *Engine) exitDispatch(name string) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.ctxPanic = &panicValue{ctx: name, val: r, stack: string(debug.Stack())}
-			e.baton <- struct{}{}
-		}
-	}()
-	if e.ctxPanic != nil || e.advance(nil) == batonStop {
-		e.baton <- struct{}{}
-	}
-}
-
-// park waits for this context's wake handoff and opens a new resume
-// generation, invalidating any wake still queued for the old one.
-func (c *Context) park() {
-	<-c.resume
-	c.gen++
-}
-
-// parkAndDispatch yields the baton: the parking context runs the dispatch
-// loop itself, and either its own wake comes up (continue inline, no channel
-// operation), the baton moves to another context (park until resumed), or
-// the run stops (return the baton to Run, then park).
-func (c *Context) parkAndDispatch() {
-	switch c.eng.advance(c) {
-	case batonSelf:
-		return
-	case batonStop:
-		c.eng.baton <- struct{}{}
-	}
-	c.park()
 }
 
 // wakeAt arms a wake event at absolute time t for the current park
 // generation; the event is dropped if the context was resumed through
 // another path in the meantime (the staleness check lives in
-// Engine.advance, which fires wake records without a closure).
+// Engine.dispatch, which fires wake records without a closure).
 func (c *Context) wakeAt(t Time) {
 	c.eng.atWake(t, c, c.gen)
 }
@@ -142,7 +108,7 @@ func (c *Context) WaitUntil(t Time) {
 	e.q.push(r)
 	// Solo-wake fast path: if our own wake is the next due event and the
 	// run's bounds allow dispatching it now, consume it inline — advance
-	// the clock and keep running with zero channel operations. Dispatch
+	// the clock and keep running without yielding to the loop. Dispatch
 	// order is unchanged: the record was the exact next pop, so this is the
 	// same transfer the loop would have performed, minus the park. Disabled
 	// under a chooser: other events ready at the same cycle must be offered
@@ -157,7 +123,7 @@ func (c *Context) WaitUntil(t Time) {
 		c.gen++
 		return
 	}
-	c.parkAndDispatch()
+	c.yield(struct{}{})
 }
 
 // Sleep advances the context by d cycles.
@@ -171,11 +137,11 @@ func (c *Context) Block() {
 	c.blocked = true
 	if c.BlockNote != nil {
 		t0 := c.eng.now
-		c.parkAndDispatch()
+		c.yield(struct{}{})
 		c.BlockNote(t0, c.eng.now)
 		return
 	}
-	c.parkAndDispatch()
+	c.yield(struct{}{})
 }
 
 // Unblock schedules the context to resume at the current time. It must be
@@ -255,7 +221,7 @@ func (g *Gate) Reset() {
 // returned. Useful for deadlock diagnostics.
 func (e *Engine) Live() int { return e.nlive }
 
-// retire is called by a finishing context (which still holds the baton).
+// retire is called by a finishing context, from its coroutine's defer.
 // Pruning ctxs is amortized: once finished contexts make up half the slice,
 // one O(len) compaction reclaims them, keeping ctxs within a constant factor
 // of the live count instead of growing with every context ever spawned.

@@ -1,15 +1,17 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// The baton-passing scheduler moves the dispatch loop across goroutines.
-// These tests pin the behaviors that must survive the migration: panic
-// propagation to the Run caller, run bounds and budgets applied by whichever
-// goroutine holds the baton (including the solo-wake fast path), and the
-// amortized pruning of the finished-context roster.
+// Contexts are coroutines resumed by one dispatch loop on the Run goroutine.
+// These tests pin the behaviors any context scheduler must keep: panic
+// propagation to the Run caller with the right culprit, run bounds and
+// budgets applied on every dispatch (including the solo-wake fast path), the
+// amortized pruning of the finished-context roster, and the per-context
+// allocation cost.
 
 func TestContextPanicPropagatesToRun(t *testing.T) {
 	e := NewEngine()
@@ -34,8 +36,8 @@ func TestContextPanicPropagatesToRun(t *testing.T) {
 	e.Run()
 }
 
-// A context resumed by another context (not by the Run goroutine) panicking
-// must still re-raise from Run: the baton travels dying-context -> Run.
+// A context woken by another context (not by a callback) panicking must
+// still re-raise from Run, framed with the victim's name.
 func TestPanicAfterContextToContextHandoff(t *testing.T) {
 	e := NewEngine()
 	var target *Context
@@ -56,9 +58,8 @@ func TestPanicAfterContextToContextHandoff(t *testing.T) {
 	e.Run()
 }
 
-// A callback that panics while dispatched from a finishing context's
-// goroutine (the exitDispatch path) must be recorded and re-raised from Run,
-// not crash the process from an anonymous goroutine.
+// A callback that panics after a context finished must re-raise from Run,
+// not crash the process from another goroutine.
 func TestCallbackPanicOnFinishingContext(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("finisher", 0, func(c *Context) { c.Sleep(1) })
@@ -69,6 +70,36 @@ func TestCallbackPanicOnFinishingContext(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// A callback that panics while a context is parked must not be blamed on
+// that context, nor finish it: the panic is the callback's, and the context
+// resumes when the recovered engine runs again.
+func TestCallbackPanicDoesNotBlameParkedContext(t *testing.T) {
+	e := NewEngine()
+	finished := false
+	e.Spawn("sleeper", 0, func(c *Context) {
+		c.WaitUntil(10)
+		finished = true
+	})
+	e.At(5, func() { panic("event boom") })
+	func() {
+		defer func() {
+			r := recover()
+			msg := fmt.Sprint(r)
+			if r == nil || !strings.Contains(msg, "event boom") {
+				t.Fatalf("panic = %v, want event boom", r)
+			}
+			if strings.Contains(msg, "context sleeper panicked") {
+				t.Fatalf("callback panic blamed on the parked context: %v", r)
+			}
+		}()
+		e.Run()
+	}()
+	e.Run()
+	if !finished || e.Now() != 10 || e.Live() != 0 {
+		t.Fatalf("sleeper finished=%v at %d with %d live, want resumed and finished at 10", finished, e.Now(), e.Live())
+	}
 }
 
 // After a panic aborted a run, the engine must reject reuse... it does not:
@@ -195,7 +226,7 @@ func TestStuckAfterPruning(t *testing.T) {
 }
 
 // A context blocked with BlockNote must report the park and wake times even
-// when it is resumed through a baton handoff from another context.
+// when another context wakes it.
 func TestBlockNoteAcrossHandoff(t *testing.T) {
 	e := NewEngine()
 	var parked, woke Time
@@ -212,5 +243,27 @@ func TestBlockNoteAcrossHandoff(t *testing.T) {
 	e.Run()
 	if parked != 5 || woke != 30 {
 		t.Fatalf("BlockNote(%d, %d), want (5, 30)", parked, woke)
+	}
+}
+
+// The context lifecycle — spawn, two sleeps, finish — allocates a fixed
+// number of objects: the Context, its coroutine's closures and captured
+// variables. A change that adds per-spawn allocations fails here.
+func TestContextLifecycleAllocs(t *testing.T) {
+	e := NewEngine()
+	body := func(c *Context) {
+		c.Sleep(1)
+		c.Sleep(1)
+	}
+	// Warm the event pool so the measured runs reuse its records.
+	e.Spawn("warm", e.Now(), body)
+	e.Run()
+	const want = 13
+	got := testing.AllocsPerRun(100, func() {
+		e.Spawn("life", e.Now(), body)
+		e.Run()
+	})
+	if got > want {
+		t.Fatalf("spawn + two sleeps + finish = %v allocs, want <= %d", got, want)
 	}
 }

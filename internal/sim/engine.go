@@ -7,24 +7,21 @@
 // state never needs locking and runs are fully deterministic: events at equal
 // times fire in scheduling order.
 //
-// Control transfer is baton-passing: the dispatch loop is not pinned to the
-// goroutine that called Run. Whichever goroutine holds the baton — the Run
-// caller initially, then a parking or finishing context — pops the next due
-// event itself, runs callbacks and sinks inline, and hands the baton directly
-// to the next context's resume channel. A context-to-context switch therefore
-// costs one channel operation instead of two (there is no hop through a
-// central engine goroutine), and a context whose own wake is the next due
-// event consumes it inline with zero channel operations (the solo-wake fast
-// path in WaitUntil). The baton returns to the Run goroutine only when a stop
-// condition is reached: queue drained, Halt, a RunUntil bound or a RunLimit
-// budget.
+// Control transfer is one dispatch loop on the goroutine that called Run.
+// The loop pops the next due event, runs callbacks and sinks inline, and
+// resumes a woken context by calling its iter.Pull coroutine's next; the
+// context runs until it parks, yielding back to the loop. A context whose
+// own wake is the next due event consumes it inline without yielding (the
+// solo-wake fast path in WaitUntil). The loop returns to the Run caller when
+// a stop condition is reached: queue drained, Halt, a RunUntil bound or a
+// RunLimit budget.
 //
 // Scheduling is a pooled two-level ladder queue (see ladder.go): typed event
 // records from a free list, time-indexed buckets for the near future, a
 // sorted overflow tier for far-future timers. Steady-state scheduling is
 // allocation-free. One engine belongs to one driving goroutine (the one that
-// calls Run); within a run its state migrates with the baton, and every
-// handoff is a channel operation, so the migration is race-free. Independent
+// calls Run); context bodies run as coroutines of that goroutine, never in
+// parallel with it, so engine state needs no locks. Independent
 // engines driven from separate goroutines share nothing, which is the
 // confinement rule the fanout package's parallel harness relies on.
 package sim
@@ -37,26 +34,17 @@ type Time = uint64
 // Engine is a discrete-event scheduler. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now Time
-	q   ladder
-	seq uint64
-	// baton returns control to the Run goroutine: whichever goroutine holds
-	// the baton when a stop condition is reached sends here and the Run
-	// caller resumes. Capacity 1 so the sender never blocks on the handback.
-	baton  chan struct{}
+	now    Time
+	q      ladder
+	seq    uint64
 	nlive  int // live (un-finished) contexts
 	halted bool
-	// Bounds of the current run, consulted by the baton holder on every
-	// dispatch. Exactly one goroutine holds the baton at a time and every
-	// handoff synchronizes through a channel, so these fields — like now, q
-	// and seq — migrate across goroutines without locks.
+	// Bounds of the current run, consulted by the dispatch loop and by the
+	// solo-wake fast path on every dispatch.
 	bounded  bool
 	bound    Time // no event after bound fires while bounded (RunUntil)
 	budgeted bool
 	budget   uint64 // events left to dispatch while budgeted (RunLimit)
-	// ctxPanic carries a panic out of a context goroutine so the Run
-	// goroutine can re-raise it where callers can see it.
-	ctxPanic *panicValue
 	// ctxs tracks spawned contexts for deadlock diagnostics. Finished
 	// contexts are pruned by amortized compaction (retire) and by Stuck.
 	ctxs  []*Context
@@ -69,15 +57,9 @@ type Engine struct {
 	choiceBuf []Choice
 }
 
-type panicValue struct {
-	ctx   string
-	val   interface{}
-	stack string
-}
-
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{baton: make(chan struct{}, 1), q: newLadder()}
+	return &Engine{q: newLadder()}
 }
 
 // Now returns the current simulation time.
@@ -261,33 +243,13 @@ func (e *Engine) describe(r *event) Choice {
 //alewife:engine-only
 func (e *Engine) Halt() { e.halted = true }
 
-// batonStatus is the outcome of one advance call: why the dispatch loop on
-// this goroutine ended.
-type batonStatus int
-
-const (
-	// batonSelf: the caller's own wake fired; it keeps the baton and
-	// continues inline (no channel operation happened).
-	batonSelf batonStatus = iota
-	// batonHanded: the baton was passed to another context's resume
-	// channel; the caller must park or exit.
-	batonHanded
-	// batonStop: a stop condition (drained queue, Halt, bound, budget) was
-	// reached; the caller still holds the baton and must return it to the
-	// Run goroutine.
-	batonStop
-)
-
-// advance is the dispatch loop, run by whichever goroutine holds the baton:
-// it pops events in (at, seq) order, runs callbacks and sinks inline, drops
-// stale wakes, and ends when control must move. self is the parked context
-// running the loop, or nil when the holder is the Run goroutine or a
-// finishing context (whose own wake can no longer fire).
-func (e *Engine) advance(self *Context) batonStatus {
-	for {
-		if e.halted || (e.budgeted && e.budget == 0) {
-			return batonStop
-		}
+// dispatch is the dispatch loop, run on the goroutine that called Run: it
+// pops events in (at, seq) order, runs callbacks and sinks inline, drops
+// stale wakes, and resumes woken contexts, until a stop condition is
+// reached. A panic from a callback, a sink or a context body propagates out
+// of it to the Run caller.
+func (e *Engine) dispatch() {
+	for !e.halted && !(e.budgeted && e.budget == 0) {
 		var r *event
 		if e.chooser != nil {
 			r = e.nextChosen()
@@ -295,7 +257,7 @@ func (e *Engine) advance(self *Context) batonStatus {
 			r = e.q.next(e.bound, e.bounded)
 		}
 		if r == nil {
-			return batonStop
+			return
 		}
 		if e.budgeted {
 			e.budget--
@@ -310,12 +272,9 @@ func (e *Engine) advance(self *Context) batonStatus {
 				continue
 			}
 			c.blocked = false
-			if c == self {
-				c.gen++
-				return batonSelf
-			}
-			c.resume <- struct{}{}
-			return batonHanded
+			c.gen++
+			c.next()
+			continue
 		}
 		if s := r.sink; s != nil {
 			op, p0, p1 := r.op, r.p0, r.gen
@@ -329,31 +288,13 @@ func (e *Engine) advance(self *Context) batonStatus {
 	}
 }
 
-// runAsMain drives the loop from the Run goroutine: dispatch until the baton
-// leaves (then wait for it back) or a stop condition ends the run directly.
-func (e *Engine) runAsMain() {
-	if e.advance(nil) == batonHanded {
-		e.waitBaton()
-	}
-}
-
-// waitBaton parks the Run goroutine until a stop condition returns the
-// baton, re-raising any panic recorded by a context in the meantime.
-func (e *Engine) waitBaton() {
-	<-e.baton
-	if p := e.ctxPanic; p != nil {
-		e.ctxPanic = nil
-		panic(fmt.Sprintf("sim: context %s panicked: %v\n--- context stack ---\n%s", p.ctx, p.val, p.stack))
-	}
-}
-
 // Run executes events in time order until the queue is empty or Halt is
 // called. It must be called from the goroutine that created the engine.
 //alewife:engine-only
 func (e *Engine) Run() {
 	e.halted = false
 	e.bounded, e.budgeted = false, false
-	e.runAsMain()
+	e.dispatch()
 }
 
 // RunLimit executes at most max events in time order, stopping early on an
@@ -365,7 +306,7 @@ func (e *Engine) RunLimit(max uint64) bool {
 	e.halted = false
 	e.bounded = false
 	e.budgeted, e.budget = true, max
-	e.runAsMain()
+	e.dispatch()
 	e.budgeted = false
 	if e.budget == 0 {
 		return e.q.size == 0
@@ -380,7 +321,7 @@ func (e *Engine) RunUntil(t Time) {
 	e.halted = false
 	e.budgeted = false
 	e.bounded, e.bound = true, t
-	e.runAsMain()
+	e.dispatch()
 	e.bounded = false
 	if e.now < t {
 		e.now = t

@@ -12,9 +12,9 @@ import (
 // The same-time fairness golden pins the engine's interleaving when many
 // activities fire at the same cycle: contexts sleeping to a shared target,
 // gate releases, cross-context UnblockAt, plain callbacks, and contexts that
-// finish mid-run. The trace was captured from the pre-baton engine (the
-// central dispatch loop on the Run goroutine); the baton-passing scheduler
-// and its solo-wake fast path must reproduce it byte for byte, because both
+// finish mid-run. The trace was captured from an engine with a central
+// dispatch loop on the Run goroutine; every scheduler since, including the
+// solo-wake fast path, must reproduce it byte for byte, because all of them
 // dispatch strictly in (at, seq) order. Regenerate only when the intended
 // ordering itself changes:
 //
@@ -100,7 +100,7 @@ func TestSameTimeFairnessGolden(t *testing.T) {
 		t.Fatalf("missing golden (run with -update-fairness to capture): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("same-time interleaving diverged from the pre-baton golden %s\n--- got ---\n%s\n--- want ---\n%s",
+		t.Errorf("same-time interleaving diverged from the golden %s\n--- got ---\n%s\n--- want ---\n%s",
 			path, got, string(want))
 	}
 	// Two runs in one process must agree, or a mismatch above could be
