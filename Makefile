@@ -2,7 +2,7 @@
 #
 #   make check     build, vet, lint (the alewife-lint analyzer suite as
 #                  a go vet vettool: determinism, engine confinement,
-#                  pool discipline, hot-path allocs, counter registry,
+#                  pool discipline, hot-path allocs,
 #                  nil-receiver guards — zero findings, no baseline),
 #                  full test suite under the race detector,
 #                  then protocol stress smokes (8 seeds, 2000 ops/node,

@@ -58,12 +58,12 @@ func lossyRT(t *testing.T, nodes int, mode core.Mode) (*core.RT, *metrics.Profil
 func finishLossy(t *testing.T, m *machine.Machine, prof *metrics.Profiler) {
 	t.Helper()
 	finishAttrib(t, m, prof)
-	faults := m.St.Global.Get(stats.NetFaultDrops) +
-		m.St.Global.Get(stats.NetFaultDups) + m.St.Global.Get(stats.NetFaultReorders)
-	if faults == 0 && m.St.Global.Get(stats.NetPackets) >= 300 {
+	faults := m.St.Total(stats.CNetFaultDrops) +
+		m.St.Total(stats.CNetFaultDups) + m.St.Total(stats.CNetFaultReorders)
+	if faults == 0 && m.St.Total(stats.CNetPackets) >= 300 {
 		t.Error("no wire faults injected despite substantial traffic")
 	}
-	if m.St.Global.Get(stats.RelAcks) == 0 {
+	if m.St.Total(stats.CRelAcks) == 0 {
 		t.Error("reliability sublayer never acknowledged anything")
 	}
 }
@@ -154,7 +154,7 @@ func TestLossyDeterministic(t *testing.T) {
 	run := func() (uint64, int64, int64) {
 		m := machine.New(lossyConfig(4))
 		r := AccumSM(m, 3, 256)
-		return r.Cycles, m.St.Global.Get(stats.NetFaultDrops), m.St.Global.Get(stats.RelRetransmits)
+		return r.Cycles, m.St.Total(stats.CNetFaultDrops), m.St.Total(stats.CRelRetransmits)
 	}
 	c1, d1, r1 := run()
 	c2, d2, r2 := run()

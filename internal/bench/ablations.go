@@ -67,7 +67,7 @@ func runAblateLimitless(cfg Config, w io.Writer) {
 		})
 		m.Run()
 		fmt.Fprintf(w, "%-12d %14d %16d %16d\n", k, writeCycles,
-			m.St.Global.Get(stats.DirSWTrapCycles), m.St.Global.Get(stats.DirOverflows))
+			m.St.Total(stats.CDirSWTrapCycles), m.St.Total(stats.CDirOverflows))
 	}
 	fmt.Fprintln(w, "(k >= nodes behaves like a full-map directory)")
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -9,6 +8,7 @@ import (
 	"alewife/internal/core"
 	"alewife/internal/machine"
 	"alewife/internal/sim/fanout"
+	"alewife/internal/stats"
 	"alewife/internal/stress"
 )
 
@@ -40,8 +40,8 @@ func TestInvokeDeterministic(t *testing.T) {
 }
 
 // barrierStats runs the E1 measurement loop on a fresh machine and returns
-// its final cycle count plus full per-node and global counter snapshots.
-func barrierStats(mode core.Mode) (uint64, []map[string]int64) {
+// its final cycle count plus every node's counter array.
+func barrierStats(mode core.Mode) (uint64, [][stats.NumCounters]int64) {
 	rt := newRT(Config{}, 16, mode)
 	rt.SPMD(func(p *machine.Proc) {
 		for i := 0; i < 4; i++ {
@@ -49,11 +49,7 @@ func barrierStats(mode core.Mode) (uint64, []map[string]int64) {
 		}
 		p.Flush()
 	})
-	snaps := []map[string]int64{rt.M.St.Global.Snapshot()}
-	for _, s := range rt.M.St.Node {
-		snaps = append(snaps, s.Snapshot())
-	}
-	return uint64(rt.M.Eng.Now()), snaps
+	return uint64(rt.M.Eng.Now()), rt.M.St.Node
 }
 
 func TestStatsSnapshotDeterministic(t *testing.T) {
@@ -63,11 +59,9 @@ func TestStatsSnapshotDeterministic(t *testing.T) {
 		if ac != bc {
 			t.Errorf("%v: final cycle differs: %d vs %d", mode, ac, bc)
 		}
-		if !reflect.DeepEqual(as, bs) {
-			for i := range as {
-				if !reflect.DeepEqual(as[i], bs[i]) {
-					t.Errorf("%v: stats set %d differs:\n run1: %v\n run2: %v", mode, i, as[i], bs[i])
-				}
+		for i := range as {
+			if as[i] != bs[i] {
+				t.Errorf("%v: node %d counters differ:\n run1: %v\n run2: %v", mode, i, as[i], bs[i])
 			}
 		}
 	}

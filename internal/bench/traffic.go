@@ -33,17 +33,17 @@ func runTraffic(cfg Config, w io.Writer) {
 	}
 	counters := []struct {
 		label string
-		key   string
+		key   stats.Counter
 	}{
-		{"coherence msgs", stats.ProtoMsgs},
-		{"invalidation rounds", stats.ProtoInvals},
-		{"explicit msgs", stats.MsgsSent},
-		{"DMA words", stats.DMAWords},
-		{"cache misses", stats.CacheMisses},
-		{"stolen cycles", stats.IntStolenCycles},
-		{"idle cycles", stats.IdleCycles},
-		{"lock acquisitions", stats.LockAcquisitions},
-		{"tasks stolen", stats.ThreadsStolen},
+		{"coherence msgs", stats.CProtoMsgs},
+		{"invalidation rounds", stats.CProtoInvals},
+		{"explicit msgs", stats.CMsgsSent},
+		{"DMA words", stats.CDMAWords},
+		{"cache misses", stats.CCacheMisses},
+		{"stolen cycles", stats.CIntStolenCycles},
+		{"idle cycles", stats.CIdleCycles},
+		{"lock acquisitions", stats.CLockAcquisitions},
+		{"tasks stolen", stats.CThreadsStolen},
 	}
 	for _, wl := range workloads {
 		smRT := newRT(cfg, cfg.Nodes, core.ModeSharedMemory)
@@ -54,7 +54,7 @@ func runTraffic(cfg Config, w io.Writer) {
 		fmt.Fprintf(w, "  %-22s %14s %14s\n", "counter", "shared-memory", "hybrid")
 		for _, c := range counters {
 			fmt.Fprintf(w, "  %-22s %14d %14d\n", c.label,
-				smRT.M.St.Global.Get(c.key), hyRT.M.St.Global.Get(c.key))
+				smRT.M.St.Total(c.key), hyRT.M.St.Total(c.key))
 		}
 		fmt.Fprintln(w)
 	}

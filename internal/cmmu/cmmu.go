@@ -97,7 +97,7 @@ func (e *Env) Storeback(base mem.Addr, words []uint64) {
 		e.cm.store.Write(base+mem.Addr(i), w)
 	}
 	if e.cm.st != nil {
-		e.cm.st.Add(e.cm.node, stats.DMAWords, int64(len(words)))
+		e.cm.st.Add(e.cm.node, stats.CDMAWords, int64(len(words)))
 	}
 }
 
@@ -245,8 +245,8 @@ func (c *CMMU) inject(d Descriptor, at sim.Time) {
 	}
 	bytes := c.p.HeaderBytes + mem.WordBytes*(len(env.Ops)+len(env.Data))
 	if c.st != nil {
-		c.st.Inc(c.node, stats.MsgsSent)
-		c.st.Add(c.node, stats.MsgWords, int64(len(env.Ops)+len(env.Data)))
+		c.st.Inc(c.node, stats.CMsgsSent)
+		c.st.Add(c.node, stats.CMsgWords, int64(len(env.Ops)+len(env.Data)))
 	}
 	c.Trace.Emit(at, c.node, trace.KMsgSend, uint64(d.Type))
 	c.net.SendMsg(c.node, d.Dst, bytes, at+flush, dst, opEnvArrive, uint64(env.id), 0)
@@ -296,7 +296,7 @@ func (c *CMMU) arrive(env *Env) {
 		panic(fmt.Sprintf("cmmu: node %d has no handler for message type %d", c.node, env.Type))
 	}
 	if c.st != nil {
-		c.st.Inc(c.node, stats.MsgsRecv)
+		c.st.Inc(c.node, stats.CMsgsRecv)
 	}
 	c.Trace.Emit(now, c.node, trace.KMsgRecv, uint64(env.Type))
 	c.Check.handlerStart(c, env.Type)
@@ -311,6 +311,6 @@ func (c *CMMU) arrive(env *Env) {
 		c.sink.StealCycles(c.node, total)
 	}
 	if c.st != nil {
-		c.st.Add(c.node, stats.IntStolenCycles, int64(total))
+		c.st.Add(c.node, stats.CIntStolenCycles, int64(total))
 	}
 }

@@ -44,9 +44,9 @@ func TestPingPong(t *testing.T) {
 	if pingAt == 0 || pongAt <= pingAt {
 		t.Fatalf("round trip broken: ping %d pong %d", pingAt, pongAt)
 	}
-	if m.St.Global.Get(stats.MsgsSent) != 2 || m.St.Global.Get(stats.MsgsRecv) != 2 {
+	if m.St.Total(stats.CMsgsSent) != 2 || m.St.Total(stats.CMsgsRecv) != 2 {
 		t.Fatalf("message counts: sent=%d recv=%d, want 2/2",
-			m.St.Global.Get(stats.MsgsSent), m.St.Global.Get(stats.MsgsRecv))
+			m.St.Total(stats.CMsgsSent), m.St.Total(stats.CMsgsRecv))
 	}
 }
 
@@ -109,8 +109,8 @@ func TestBulkDMATransfer(t *testing.T) {
 	if doneAt == 0 {
 		t.Fatal("bulk handler never ran")
 	}
-	if m.St.Global.Get(stats.DMAWords) != words {
-		t.Fatalf("DMA words = %d, want %d", m.St.Global.Get(stats.DMAWords), words)
+	if m.St.Total(stats.CDMAWords) != words {
+		t.Fatalf("DMA words = %d, want %d", m.St.Total(stats.CDMAWords), words)
 	}
 }
 

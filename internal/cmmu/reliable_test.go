@@ -59,10 +59,10 @@ func TestReliableExactlyOnceFIFOUnderLoss(t *testing.T) {
 		t.Fatalf("violations: %v", r.Violations())
 	}
 	// The lossy wires must actually have misbehaved for this to mean much.
-	if st.Global.Get(stats.NetFaultDrops) == 0 {
+	if st.Total(stats.CNetFaultDrops) == 0 {
 		t.Fatal("no drops injected; test exercised nothing")
 	}
-	if st.Global.Get(stats.RelRetransmits) == 0 {
+	if st.Total(stats.CRelRetransmits) == 0 {
 		t.Fatal("drops happened but nothing was retransmitted")
 	}
 }
@@ -74,12 +74,12 @@ func TestReliableZeroLossIsQuiet(t *testing.T) {
 	if err := r.Quiesce(); err != nil {
 		t.Fatalf("quiesce: %v", err)
 	}
-	for _, c := range []string{stats.RelRetransmits, stats.RelTimeouts, stats.RelDupDrops, stats.RelWindowDrops} {
-		if v := st.Global.Get(c); v != 0 {
+	for _, c := range []stats.Counter{stats.CRelRetransmits, stats.CRelTimeouts, stats.CRelDupDrops, stats.CRelWindowDrops} {
+		if v := st.Total(c); v != 0 {
 			t.Fatalf("%s = %d on a perfect network", c, v)
 		}
 	}
-	if st.Global.Get(stats.RelAcks) == 0 {
+	if st.Total(stats.CRelAcks) == 0 {
 		t.Fatal("no acks on a delivering network")
 	}
 }
@@ -109,10 +109,10 @@ func TestReliableDupSuppression(t *testing.T) {
 	eng, r, st := relHarness(&mesh.NetFault{Seed: 9, Dup: 0.5}, RelParams{})
 	order := sendBurst(eng, r, 200)
 	checkFIFO(t, order, 200)
-	if st.Global.Get(stats.NetFaultDups) == 0 {
+	if st.Total(stats.CNetFaultDups) == 0 {
 		t.Fatal("no dups injected")
 	}
-	if st.Global.Get(stats.RelDupDrops) == 0 {
+	if st.Total(stats.CRelDupDrops) == 0 {
 		t.Fatal("wire dups injected but none suppressed")
 	}
 }
@@ -145,7 +145,7 @@ func TestReliableBackoffDoubles(t *testing.T) {
 	eng.Run()
 	// Timeouts at ~100, 300 (100+200), 700, 1100 (cap 400 twice): the run's
 	// final time reflects exponential backoff, not linear retry.
-	if got := st.Global.Get(stats.RelTimeouts); got != 5 {
+	if got := st.Total(stats.CRelTimeouts); got != 5 {
 		t.Fatalf("timeouts = %d, want 5 (retries 4 + the fatal one)", got)
 	}
 	if eng.Now() < 100+200+400+400+400 {
@@ -160,13 +160,13 @@ func TestReliableTraceAndOverlayMetrics(t *testing.T) {
 	order := sendBurst(eng, r, 200)
 	checkFIFO(t, order, 200)
 	counts := tb.CountByKind()
-	if int64(counts[trace.KRetransmit]) != st.Global.Get(stats.RelRetransmits) {
+	if int64(counts[trace.KRetransmit]) != st.Total(stats.CRelRetransmits) {
 		t.Fatalf("KRetransmit events %d != counter %d",
-			counts[trace.KRetransmit], st.Global.Get(stats.RelRetransmits))
+			counts[trace.KRetransmit], st.Total(stats.CRelRetransmits))
 	}
-	if int64(counts[trace.KDupDrop]) != st.Global.Get(stats.RelDupDrops) {
+	if int64(counts[trace.KDupDrop]) != st.Total(stats.CRelDupDrops) {
 		t.Fatalf("KDupDrop events %d != counter %d",
-			counts[trace.KDupDrop], st.Global.Get(stats.RelDupDrops))
+			counts[trace.KDupDrop], st.Total(stats.CRelDupDrops))
 	}
 	if counts[trace.KRetransmit] == 0 || counts[trace.KDupDrop] == 0 {
 		t.Fatal("lossy run emitted no reliability trace events")
@@ -206,7 +206,7 @@ func TestReliableFaultNoRetransmitCaught(t *testing.T) {
 	r.Fault = &RelFault{NoRetransmit: true}
 	r.Send(0, 1, 16, 0, func() {})
 	eng.Run()
-	if st.Global.Get(stats.RelRetransmits) != 0 {
+	if st.Total(stats.CRelRetransmits) != 0 {
 		t.Fatal("NoRetransmit mutation retransmitted anyway")
 	}
 	if r.Quiesce() == nil {

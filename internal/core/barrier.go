@@ -109,7 +109,7 @@ func (b *Barrier) Sync(p *machine.Proc) {
 	if b.rt.Cores() == 1 {
 		return
 	}
-	b.rt.M.St.Inc(p.ID(), stats.BarrierEpisodes)
+	b.rt.M.St.Inc(p.ID(), stats.CBarrierEpisodes)
 	p.PushRegion(metrics.SyncWait)
 	if b.rt.Mode == ModeHybrid {
 		b.syncHybrid(p)

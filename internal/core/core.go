@@ -140,7 +140,7 @@ func (c *core) backoff(p *machine.Proc) {
 	} else if c.idleFails < 16 {
 		c.idleFails++
 	}
-	c.rt.M.St.Add(c.id, stats.IdleCycles, int64(d))
+	c.rt.M.St.Add(c.id, stats.CIdleCycles, int64(d))
 	p.Elapse(d)
 	p.Flush()
 }
@@ -227,17 +227,17 @@ func (c *core) stealSM(p *machine.Proc) {
 			if v.id == c.id {
 				continue
 			}
-			c.rt.M.St.Inc(c.id, stats.StealAttempts)
+			c.rt.M.St.Inc(c.id, stats.CStealAttempts)
 			if v.taskq.probeEmpty(p) {
-				c.rt.M.St.Inc(c.id, stats.StealFailures)
+				c.rt.M.St.Inc(c.id, stats.CStealFailures)
 				continue
 			}
 			batch := v.taskq.stealBatch(p, c.rt.P.StealBatch)
 			if len(batch) == 0 {
-				c.rt.M.St.Inc(c.id, stats.StealFailures)
+				c.rt.M.St.Inc(c.id, stats.CStealFailures)
 				continue
 			}
-			c.rt.M.St.Add(c.id, stats.ThreadsStolen, int64(len(batch)))
+			c.rt.M.St.Add(c.id, stats.CThreadsStolen, int64(len(batch)))
 			c.rt.M.Trace.Emit(p.Ctx.Now(), c.id, trace.KSteal, uint64(v.id))
 			c.idleFails = 0
 			found = true
@@ -268,7 +268,7 @@ func (c *core) stealSM(p *machine.Proc) {
 		}
 	}
 	// Poll period for the local queues.
-	c.rt.M.St.Add(c.id, stats.IdleCycles, int64(c.rt.P.IdleBackoff))
+	c.rt.M.St.Add(c.id, stats.CIdleCycles, int64(c.rt.P.IdleBackoff))
 	p.Elapse(c.rt.P.IdleBackoff)
 	p.Flush()
 }
@@ -282,7 +282,7 @@ func (c *core) stealHybrid(p *machine.Proc) {
 		c.backoff(p)
 		return
 	}
-	c.rt.M.St.Inc(c.id, stats.StealAttempts)
+	c.rt.M.St.Inc(c.id, stats.CStealAttempts)
 	c.stealPending = true
 	p.SendMessage(cmmu.Descriptor{
 		Type: msgSteal,
@@ -297,7 +297,7 @@ func (c *core) stealHybrid(p *machine.Proc) {
 		parkStart := p.Ctx.Now()
 		p.Ctx.Block()
 		c.parked = false
-		c.rt.M.St.Add(c.id, stats.IdleCycles, int64(p.Ctx.Now()-parkStart))
+		c.rt.M.St.Add(c.id, stats.CIdleCycles, int64(p.Ctx.Now()-parkStart))
 	}
 	// Loop re-checks the queues; after a fruitless round, back off to avoid
 	// hammering victims with request storms. The backoff is a timed park:
@@ -314,6 +314,6 @@ func (c *core) stealHybrid(p *machine.Proc) {
 		p.Ctx.UnblockAt(parkStart + d)
 		p.Ctx.Block()
 		c.parked = false
-		c.rt.M.St.Add(c.id, stats.IdleCycles, int64(p.Ctx.Now()-parkStart))
+		c.rt.M.St.Add(c.id, stats.CIdleCycles, int64(p.Ctx.Now()-parkStart))
 	}
 }

@@ -60,7 +60,7 @@ func (c *core) onTask(e *cmmu.Env) {
 		t := c.rt.task(e.Ops[1+i])
 		e.Elapse(c.rt.P.HandlerQueueOp)
 		c.htaskq.handlerPush(queueItem{task: t})
-		c.rt.M.St.Inc(c.id, stats.ThreadsStolen)
+		c.rt.M.St.Inc(c.id, stats.CThreadsStolen)
 	}
 	c.stealPending = false
 	c.wakeIdle()
@@ -68,7 +68,7 @@ func (c *core) onTask(e *cmmu.Env) {
 
 // onNoTask records a declined steal.
 func (c *core) onNoTask(e *cmmu.Env) {
-	c.rt.M.St.Inc(c.id, stats.StealFailures)
+	c.rt.M.St.Inc(c.id, stats.CStealFailures)
 	c.stealPending = false
 	c.wakeIdle()
 }

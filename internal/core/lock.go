@@ -28,7 +28,7 @@ func (l *SpinLock) Acquire(p *machine.Proc) {
 	p.PushRegion(metrics.SyncWait)
 	backoff := uint64(4)
 	for p.TestSet(l.addr) != 0 {
-		p.Node.M.St.Inc(p.ID(), stats.LockSpins)
+		p.Node.M.St.Inc(p.ID(), stats.CLockSpins)
 		p.Elapse(backoff)
 		p.Flush()
 		if backoff < 256 {
@@ -36,7 +36,7 @@ func (l *SpinLock) Acquire(p *machine.Proc) {
 		}
 	}
 	p.PopRegion()
-	p.Node.M.St.Inc(p.ID(), stats.LockAcquisitions)
+	p.Node.M.St.Inc(p.ID(), stats.CLockAcquisitions)
 }
 
 // Release frees the lock (a plain store; the line is exclusively held).

@@ -109,7 +109,7 @@ type RT struct {
 	done  bool
 
 	tasks    map[uint64]*Task   // id -> task, for message-carried references
-	threads  map[uint64]*Thread // id -> started thread, for wake messages
+	threads  map[uint64]*Thread // id -> unfinished thread, for wake messages
 	copies   map[uint64]*copyOp // id -> in-flight bulk transfer
 	watchers map[uint64]func()  // token -> notify-copy watcher
 	nextID   uint64

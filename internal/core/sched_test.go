@@ -79,8 +79,22 @@ func TestSchedulerCountsThreads(t *testing.T) {
 		return f.Touch(tc) + g.Touch(tc)
 	})
 	// Root + 2 children = 3 threads.
-	if got := rt.M.St.Global.Get(stats.ThreadsCreated); got != 3 {
+	if got := rt.M.St.Total(stats.CThreadsCreated); got != 3 {
 		t.Fatalf("threads created = %d, want 3", got)
+	}
+}
+
+// A thread leaves the wake-message table when it finishes, so a run's
+// finished threads are not kept reachable until the runtime is dropped.
+func TestFinishedThreadsReleased(t *testing.T) {
+	for _, mode := range []Mode{ModeSharedMemory, ModeHybrid} {
+		rt := newRT(4, mode)
+		if v, _ := rt.Run(func(tc *TC) uint64 { return treeSum(tc, 6) }); v != 64 {
+			t.Fatalf("%v: tree sum = %d, want 64", mode, v)
+		}
+		if n := len(rt.threads); n != 0 {
+			t.Fatalf("%v: %d finished threads still registered", mode, n)
+		}
 	}
 }
 
@@ -104,7 +118,7 @@ func TestHybridStealsCarryWholeTask(t *testing.T) {
 			}
 			return s
 		})
-		return rt.M.St.Global.Get(stats.ProtoMsgs)
+		return rt.M.St.Total(stats.CProtoMsgs)
 	}
 	sm := traffic(ModeSharedMemory)
 	hy := traffic(ModeHybrid)
@@ -198,7 +212,7 @@ func TestStolenCyclesChargedToVictim(t *testing.T) {
 		}
 	})
 	rt.M.Run()
-	if rt.M.St.Node[1].Get(stats.IntStolenCycles) == 0 {
+	if rt.M.St.Node[1][stats.CIntStolenCycles] == 0 {
 		t.Fatal("no stolen cycles recorded on the bombarded node")
 	}
 }

@@ -29,7 +29,7 @@ type Thread struct {
 func (rt *RT) newThread(t *Task, c *core) *Thread {
 	th := &Thread{id: rt.newTaskID(), task: t, core: c}
 	rt.threads[th.id] = th
-	rt.M.St.Inc(c.id, stats.ThreadsCreated)
+	rt.M.St.Inc(c.id, stats.CThreadsCreated)
 	return th
 }
 
@@ -44,6 +44,7 @@ func (th *Thread) start() {
 			th.task.fn(tc)
 			p.Flush()
 			th.finished = true
+			delete(rt.threads, th.id)
 			c.threadYield()
 		})
 }

@@ -61,7 +61,7 @@ func (p *Proc) Flush() {
 	}
 	d := p.ahead
 	p.ahead = 0
-	p.Node.M.St.Add(p.Node.ID, stats.ProcBusyCycles, int64(d))
+	p.Node.M.St.Add(p.Node.ID, stats.CProcBusyCycles, int64(d))
 	p.Ctx.Sleep(d)
 }
 
@@ -84,7 +84,7 @@ func (p *Proc) flushProf() {
 	p.ahead = 0
 	hit, miss, snd := p.aheadHit, p.aheadMiss, p.aheadMsg
 	p.aheadHit, p.aheadMiss, p.aheadMsg = 0, 0, 0
-	n.M.St.Add(n.ID, stats.ProcBusyCycles, int64(d))
+	n.M.St.Add(n.ID, stats.CProcBusyCycles, int64(d))
 
 	// Stolen cycles never redirect: they are asynchronous work that landed
 	// here, not part of what the region is waiting on.

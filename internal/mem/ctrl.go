@@ -65,13 +65,13 @@ func (f *Fabric) steal(node int, cyc uint64) {
 		f.Sink.StealCycles(node, cyc)
 	}
 	if f.St != nil && cyc > 0 {
-		f.St.Add(node, stats.DirSWTrapCycles, int64(cyc))
+		f.St.Add(node, stats.CDirSWTrapCycles, int64(cyc))
 	}
 }
 
-func (f *Fabric) count(node int, name string) {
+func (f *Fabric) count(node int, c stats.Counter) {
 	if f.St != nil {
-		f.St.Inc(node, name)
+		f.St.Inc(node, c)
 	}
 }
 
@@ -215,7 +215,7 @@ func (c *Ctrl) findTxn(line Addr) *txn {
 func (c *Ctrl) FastRead(a Addr) bool {
 	if c.cache.State(a) != Invalid {
 		c.cache.Touch(a)
-		c.f.count(c.node, stats.CacheHits)
+		c.f.count(c.node, stats.CCacheHits)
 		return true
 	}
 	return false
@@ -226,7 +226,7 @@ func (c *Ctrl) FastRead(a Addr) bool {
 func (c *Ctrl) FastWrite(a Addr) bool {
 	if c.cache.State(a) == Exclusive {
 		c.cache.Touch(a)
-		c.f.count(c.node, stats.CacheHits)
+		c.f.count(c.node, stats.CCacheHits)
 		return true
 	}
 	return false
@@ -245,7 +245,7 @@ func (c *Ctrl) Read(ctx *sim.Context, a Addr) {
 			c.cache.Touch(a)
 			return
 		}
-		c.f.count(c.node, stats.CacheMisses)
+		c.f.count(c.node, stats.CCacheMisses)
 		c.miss(ctx, a, Shared)
 	}
 }
@@ -262,7 +262,7 @@ func (c *Ctrl) Write(ctx *sim.Context, a Addr) {
 			return
 		}
 		if c.cache.State(a) == Shared {
-			c.f.count(c.node, stats.CacheUpgrades)
+			c.f.count(c.node, stats.CCacheUpgrades)
 			if c.cache.Prefetched(a) {
 				// The copy sits in the transaction store: retire it and
 				// re-issue the write (Alewife prefetch-then-write artifact).
@@ -271,7 +271,7 @@ func (c *Ctrl) Write(ctx *sim.Context, a Addr) {
 				continue
 			}
 		} else {
-			c.f.count(c.node, stats.CacheMisses)
+			c.f.count(c.node, stats.CCacheMisses)
 		}
 		c.miss(ctx, a, Exclusive)
 	}
@@ -298,7 +298,7 @@ func (c *Ctrl) miss(ctx *sim.Context, a Addr, want LState) {
 		// is in flight waits for the fill and retries.
 		if t.prefetch {
 			t.prefetch = false
-			c.f.count(c.node, stats.PrefetchUseful)
+			c.f.count(c.node, stats.CPrefetchUseful)
 		}
 		t.gate.Wait(ctx)
 		return
@@ -370,15 +370,15 @@ func (c *Ctrl) StartMiss(a Addr, want LState) FillTicket {
 		return FillTicket{g: g}
 	}
 	if st == Shared && want == Exclusive {
-		c.f.count(c.node, stats.CacheUpgrades)
+		c.f.count(c.node, stats.CCacheUpgrades)
 	} else {
-		c.f.count(c.node, stats.CacheMisses)
+		c.f.count(c.node, stats.CCacheMisses)
 	}
 	line := a.Line()
 	if t := c.findTxn(line); t != nil {
 		if t.prefetch {
 			t.prefetch = false
-			c.f.count(c.node, stats.PrefetchUseful)
+			c.f.count(c.node, stats.CPrefetchUseful)
 		}
 		return FillTicket{t: t, g: &t.gate, gen: t.gen}
 	}
@@ -410,7 +410,7 @@ func (c *Ctrl) Prefetch(a Addr, excl bool) {
 	if len(c.txns) >= c.f.P.TxnLimit {
 		return // buffer full: drop
 	}
-	c.f.count(c.node, stats.Prefetches)
+	c.f.count(c.node, stats.CPrefetches)
 	c.start(line, want, true)
 }
 
@@ -437,7 +437,7 @@ func (c *Ctrl) start(line Addr, want LState, prefetch bool) *txn {
 		// after the requester-side issue cost.
 		eng.AtSink(eng.Now()+c.f.P.LocalMiss, c.f, op, uint64(line), uint64(c.node))
 	} else {
-		c.f.count(c.node, stats.ProtoMsgs)
+		c.f.count(c.node, stats.CProtoMsgs)
 		c.f.Net.SendMsg(c.node, h, c.f.P.ReqBytes, eng.Now()+c.f.P.LocalMiss,
 			c.f, op, uint64(line), uint64(c.node))
 	}
@@ -462,7 +462,7 @@ func (c *Ctrl) grantArrive(line Addr, granted LState) {
 	if vstate == Exclusive {
 		c.writeback(victim)
 	} else if vstate == Shared {
-		c.f.count(c.node, stats.CacheEvictions)
+		c.f.count(c.node, stats.CCacheEvictions)
 	}
 	c.cache.SetPrefetched(line, t.prefetch && granted == Shared)
 	c.txns = append(c.txns[:ti], c.txns[ti+1:]...)
@@ -485,7 +485,7 @@ func (c *Ctrl) grantArrive(line Addr, granted LState) {
 // writeback sends a dirty victim home.
 func (c *Ctrl) writeback(line Addr) {
 	c.f.Trace.Emit(c.f.Eng.Now(), c.node, trace.KWriteback, uint64(line))
-	c.f.count(c.node, stats.CacheWritebacks)
+	c.f.count(c.node, stats.CCacheWritebacks)
 	c.f.Check.wbSent(c.node, line)
 	if c.f.Fault.dropWriteback() {
 		return
@@ -495,7 +495,7 @@ func (c *Ctrl) writeback(line Addr) {
 		c.f.Ctrls[h].wbArrive(line, c.node)
 		return
 	}
-	c.f.count(c.node, stats.ProtoMsgs)
+	c.f.count(c.node, stats.CProtoMsgs)
 	c.f.Net.SendMsg(c.node, h, c.f.P.DataBytes, c.f.Eng.Now(),
 		c.f, opWB|uint32(h)<<opNodeShift, uint64(line), uint64(c.node))
 }
@@ -598,7 +598,7 @@ func (c *Ctrl) serveWrite(line Addr, e *dirEntry, from int) {
 		if hadLine {
 			e.owner = from // sentinel: upgrade, no data needed
 		}
-		c.f.count(c.node, stats.ProtoInvals)
+		c.f.count(c.node, stats.CProtoInvals)
 		// The fan-out recomputes its target list (sharers minus pendFrom) at
 		// slot-start; dPendInv freezes the sharer list until then.
 		c.occupyOp(c.f.P.DirCycles+sw, opDirFanout, line, 0)
@@ -628,7 +628,7 @@ func (c *Ctrl) addSharer(e *dirEntry, n int) (sw uint64) {
 	}
 	if !e.overflow {
 		e.overflow = true
-		c.f.count(c.node, stats.DirOverflows)
+		c.f.count(c.node, stats.CDirOverflows)
 		if e.ovList == 0 {
 			e.ovList = c.f.Store.AllocOn(c.node, uint64(c.f.Net.Nodes()))
 		}
@@ -661,7 +661,7 @@ func (c *Ctrl) sendGrant(line Addr, to int, st LState, withData bool, at sim.Tim
 		c.f.Eng.AtSink(at, c.f, op, uint64(line), 0)
 		return
 	}
-	c.f.count(c.node, stats.ProtoMsgs)
+	c.f.count(c.node, stats.CProtoMsgs)
 	c.f.Net.SendMsg(c.node, to, bytes, at, c.f, op, uint64(line), 0)
 }
 
@@ -678,7 +678,7 @@ func (c *Ctrl) invArrive(line Addr) {
 		c.f.Ctrls[h].invAckArrive(line, c.node)
 		return
 	}
-	c.f.count(c.node, stats.ProtoMsgs)
+	c.f.count(c.node, stats.CProtoMsgs)
 	c.f.Net.SendMsg(c.node, h, c.f.P.CtlBytes, c.f.Eng.Now(),
 		c.f, opInvAck|uint32(h)<<opNodeShift, uint64(line), uint64(c.node))
 }
@@ -733,7 +733,7 @@ func (c *Ctrl) recallArrive(line Addr, forWrite bool) {
 		c.f.Ctrls[h].recallDataArrive(line, c.node)
 		return
 	}
-	c.f.count(c.node, stats.ProtoMsgs)
+	c.f.count(c.node, stats.CProtoMsgs)
 	c.f.Net.SendMsg(c.node, h, c.f.P.DataBytes, c.f.Eng.Now(),
 		c.f, opRecallData|uint32(h)<<opNodeShift, uint64(line), uint64(c.node))
 }

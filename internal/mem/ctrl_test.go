@@ -128,7 +128,7 @@ func TestUpgradeFromShared(t *testing.T) {
 	if st := h.fab.Ctrls[0].LineState(a); st != Exclusive {
 		t.Fatalf("state after upgrade = %v, want E", st)
 	}
-	if got := h.st.Global.Get(stats.CacheUpgrades); got != 1 {
+	if got := h.st.Total(stats.CCacheUpgrades); got != 1 {
 		t.Fatalf("upgrades counted = %d, want 1", got)
 	}
 }
@@ -153,7 +153,7 @@ func TestWriterInvalidatesReaders(t *testing.T) {
 	if st := h.fab.Ctrls[2].LineState(a); st != Exclusive {
 		t.Fatalf("writer state = %v, want E", st)
 	}
-	if h.st.Global.Get(stats.ProtoInvals) == 0 {
+	if h.st.Total(stats.CProtoInvals) == 0 {
 		t.Fatal("no invalidation round counted")
 	}
 }
@@ -250,8 +250,8 @@ func TestEvictionWritesBack(t *testing.T) {
 	if ds != "idle" {
 		t.Fatalf("victim dir = %s, want idle after WB", ds)
 	}
-	if h.st.Global.Get(stats.CacheWritebacks) != 1 {
-		t.Fatalf("writebacks = %d, want 1", h.st.Global.Get(stats.CacheWritebacks))
+	if h.st.Total(stats.CCacheWritebacks) != 1 {
+		t.Fatalf("writebacks = %d, want 1", h.st.Total(stats.CCacheWritebacks))
 	}
 }
 
@@ -271,8 +271,8 @@ func TestLimitLESSOverflow(t *testing.T) {
 	if n != 8 || !overflow {
 		t.Fatalf("dir sharers=%d overflow=%v, want 8/true (HWPointers=5)", n, overflow)
 	}
-	if h.st.Global.Get(stats.DirOverflows) != 1 {
-		t.Fatalf("overflow events = %d, want 1", h.st.Global.Get(stats.DirOverflows))
+	if h.st.Total(stats.CDirOverflows) != 1 {
+		t.Fatalf("overflow events = %d, want 1", h.st.Total(stats.CDirOverflows))
 	}
 	if h.sink.stolen[0] == 0 {
 		t.Fatal("LimitLESS software handling stole no cycles from home processor")
@@ -314,8 +314,8 @@ func TestPrefetchSharedThenUseful(t *testing.T) {
 	if missLat == 0 {
 		t.Fatal("reference miss took no time")
 	}
-	if h.st.Global.Get(stats.Prefetches) != 1 {
-		t.Fatalf("prefetches = %d, want 1", h.st.Global.Get(stats.Prefetches))
+	if h.st.Total(stats.CPrefetches) != 1 {
+		t.Fatalf("prefetches = %d, want 1", h.st.Total(stats.CPrefetches))
 	}
 }
 
@@ -326,11 +326,11 @@ func TestPrefetchJoinedByDemandMiss(t *testing.T) {
 		h.fab.Ctrls[0].Prefetch(a, false)
 		h.fab.Ctrls[0].Read(c, a) // joins in-flight prefetch
 	})
-	if h.st.Global.Get(stats.PrefetchUseful) != 1 {
-		t.Fatalf("prefetch_useful = %d, want 1", h.st.Global.Get(stats.PrefetchUseful))
+	if h.st.Total(stats.CPrefetchUseful) != 1 {
+		t.Fatalf("prefetch_useful = %d, want 1", h.st.Total(stats.CPrefetchUseful))
 	}
-	if h.st.Global.Get(stats.CacheMisses) != 1 {
-		t.Fatalf("misses = %d, want 1 (joined)", h.st.Global.Get(stats.CacheMisses))
+	if h.st.Total(stats.CCacheMisses) != 1 {
+		t.Fatalf("misses = %d, want 1 (joined)", h.st.Total(stats.CCacheMisses))
 	}
 }
 
@@ -342,7 +342,7 @@ func TestPrefetchDroppedWhenBufferFull(t *testing.T) {
 			h.fab.Ctrls[0].Prefetch(base+Addr(i*LineWords), false)
 		}
 	})
-	if got := h.st.Global.Get(stats.Prefetches); got != 4 {
+	if got := h.st.Total(stats.CPrefetches); got != 4 {
 		t.Fatalf("accepted prefetches = %d, want 4 (TxnLimit)", got)
 	}
 }

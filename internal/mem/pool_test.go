@@ -204,10 +204,10 @@ func TestPooledEvictionAndOverflow(t *testing.T) {
 		}
 	}
 	h.run(t, bodies...)
-	if h.st.Global.Get(stats.DirOverflows) == 0 {
+	if h.st.Total(stats.CDirOverflows) == 0 {
 		t.Fatal("no directory overflows recorded")
 	}
-	if h.st.Global.Get(stats.CacheWritebacks) == 0 {
+	if h.st.Total(stats.CCacheWritebacks) == 0 {
 		t.Fatal("no dirty evictions recorded")
 	}
 	st, sharers, owner, _ := h.fab.Ctrls[0].DirInfo(hot)

@@ -114,7 +114,7 @@ func TestFalseSharingPingPong(t *testing.T) {
 				c.Sleep(50)
 			}
 		})
-		return h.st.Global.Get(stats.ProtoMsgs)
+		return h.st.Total(stats.CProtoMsgs)
 	}
 	same := traffic(true)
 	diff := traffic(false)

@@ -257,8 +257,8 @@ func (m *Mesh) route(src, dst int, bytes int, at sim.Time) sim.Time {
 	}
 	f := m.flits(bytes)
 	if m.st != nil {
-		m.st.Inc(src, stats.NetPackets)
-		m.st.Add(src, stats.NetFlits, int64(f))
+		m.st.Inc(src, stats.CNetPackets)
+		m.st.Add(src, stats.CNetFlits, int64(f))
 	}
 	at0 := at // requested departure; delay beyond unloaded time is queueing
 	if m.p.MaxJitter > 0 {
@@ -363,7 +363,7 @@ func (m *Mesh) plan(c, d, n int) (steps int, forward bool) {
 
 func (m *Mesh) account(src int, cycles uint64) {
 	if m.st != nil {
-		m.st.Add(src, stats.NetPacketCycles, int64(cycles))
+		m.st.Add(src, stats.CNetPacketCycles, int64(cycles))
 	}
 }
 

@@ -209,8 +209,8 @@ func TestPropertyFlitAccounting(t *testing.T) {
 			m.Send(0, 3, b, 0, func() {})
 		}
 		eng.Run()
-		return st.Global.Get(stats.NetFlits) == want &&
-			st.Global.Get(stats.NetPackets) == int64(len(sizes))
+		return st.Total(stats.CNetFlits) == want &&
+			st.Total(stats.CNetPackets) == int64(len(sizes))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

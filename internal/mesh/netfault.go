@@ -138,17 +138,17 @@ func (m *Mesh) fault(src, dst int, t sim.Time) (deliver, dup sim.Time, drop bool
 	switch kind {
 	case FaultDrop:
 		if m.st != nil {
-			m.st.Inc(src, stats.NetFaultDrops)
+			m.st.Inc(src, stats.CNetFaultDrops)
 		}
 		return 0, 0, true
 	case FaultDup:
 		if m.st != nil {
-			m.st.Inc(src, stats.NetFaultDups)
+			m.st.Inc(src, stats.CNetFaultDups)
 		}
 		return t, t + delay, false
 	case FaultReorder:
 		if m.st != nil {
-			m.st.Inc(src, stats.NetFaultReorders)
+			m.st.Inc(src, stats.CNetFaultReorders)
 		}
 		return t + delay, 0, false
 	}

@@ -31,9 +31,9 @@ func TestNetFaultNilInjectsNothing(t *testing.T) {
 	if got := countDeliveries(eng, m, 50); got != 50 {
 		t.Fatalf("fault-free mesh delivered %d/50", got)
 	}
-	for _, c := range []string{stats.NetFaultDrops, stats.NetFaultDups, stats.NetFaultReorders} {
-		if st.Global.Get(c) != 0 {
-			t.Fatalf("%s = %d on fault-free mesh", c, st.Global.Get(c))
+	for _, c := range []stats.Counter{stats.CNetFaultDrops, stats.CNetFaultDups, stats.CNetFaultReorders} {
+		if st.Total(c) != 0 {
+			t.Fatalf("%s = %d on fault-free mesh", c, st.Total(c))
 		}
 	}
 }
@@ -41,7 +41,7 @@ func TestNetFaultNilInjectsNothing(t *testing.T) {
 func TestNetFaultDropLosesPackets(t *testing.T) {
 	eng, m, st := faultyMesh(2, 1, &NetFault{Seed: 7, Drop: 0.3})
 	got := countDeliveries(eng, m, 200)
-	drops := int(st.Global.Get(stats.NetFaultDrops))
+	drops := int(st.Total(stats.CNetFaultDrops))
 	if drops == 0 {
 		t.Fatal("30% drop rate over 200 packets dropped nothing")
 	}
@@ -53,7 +53,7 @@ func TestNetFaultDropLosesPackets(t *testing.T) {
 func TestNetFaultDupDeliversTwice(t *testing.T) {
 	eng, m, st := faultyMesh(2, 1, &NetFault{Seed: 7, Dup: 0.3})
 	got := countDeliveries(eng, m, 200)
-	dups := int(st.Global.Get(stats.NetFaultDups))
+	dups := int(st.Total(stats.CNetFaultDups))
 	if dups == 0 {
 		t.Fatal("30% dup rate over 200 packets duplicated nothing")
 	}
@@ -73,7 +73,7 @@ func TestNetFaultReorderOvertakesFIFO(t *testing.T) {
 		m.Send(0, 1, 16, sim.Time(i)*50, func() { order = append(order, i) })
 	}
 	eng.Run()
-	if st.Global.Get(stats.NetFaultReorders) == 0 {
+	if st.Total(stats.CNetFaultReorders) == 0 {
 		t.Fatal("40% reorder rate over 100 packets reordered nothing")
 	}
 	inverted := false

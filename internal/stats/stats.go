@@ -1,8 +1,8 @@
-// Package stats collects named counters for a simulation run: coherence
-// traffic, message counts by type, cache hits/misses, cycles stolen by
-// interrupt handlers, link utilization. Counters are plain integers — the
-// whole simulator is single-threaded by construction — and are grouped per
-// node plus machine-wide aggregates.
+// Package stats collects counters for a simulation run: coherence traffic,
+// message counts by type, cache hits/misses, cycles stolen by interrupt
+// handlers, link utilization. Counters are plain integers — the whole
+// simulator is single-threaded by construction — kept per node in a dense
+// array indexed by the Counter enum; machine-wide totals are summed on read.
 package stats
 
 import (
@@ -11,8 +11,8 @@ import (
 	"strings"
 )
 
-// Counter names used across the simulator. Modules may add their own; these
-// constants exist so tests and reports don't typo stringly-typed keys.
+// Counter names, as they appear in reports and goldens. They stay untyped
+// strings so report parsers can match lines against them.
 const (
 	CacheHits        = "cache.hits"
 	CacheMisses      = "cache.misses"
@@ -54,102 +54,143 @@ const (
 	RelAcks          = "rel.acks"
 )
 
-// Set is a group of counters for one scope (a node, or the machine).
-type Set struct {
-	m map[string]int64
+// Counter identifies one statistic; C<Name> counts under the name <Name>.
+type Counter uint8
+
+// Counters.
+const (
+	CCacheHits Counter = iota
+	CCacheMisses
+	CCacheEvictions
+	CCacheWritebacks
+	CCacheUpgrades
+	CPrefetches
+	CPrefetchUseful
+	CDirOverflows
+	CDirSWTrapCycles
+	CProtoMsgs
+	CProtoInvals
+	CNetPackets
+	CNetFlits
+	CNetPacketCycles
+	CMsgsSent
+	CMsgsRecv
+	CMsgWords
+	CDMAWords
+	CIntStolenCycles
+	CProcBusyCycles
+	CIdleCycles
+	CThreadsCreated
+	CThreadsStolen
+	CStealAttempts
+	CStealFailures
+	CBarrierEpisodes
+	CLockAcquisitions
+	CLockSpins
+	CCheckViolations
+	CStressOps
+	CNetFaultDrops
+	CNetFaultDups
+	CNetFaultReorders
+	CRelRetransmits
+	CRelTimeouts
+	CRelDupDrops
+	CRelWindowDrops
+	CRelAcks
+	NumCounters
+)
+
+var names = [NumCounters]string{
+	CCacheHits:        CacheHits,
+	CCacheMisses:      CacheMisses,
+	CCacheEvictions:   CacheEvictions,
+	CCacheWritebacks:  CacheWritebacks,
+	CCacheUpgrades:    CacheUpgrades,
+	CPrefetches:       Prefetches,
+	CPrefetchUseful:   PrefetchUseful,
+	CDirOverflows:     DirOverflows,
+	CDirSWTrapCycles:  DirSWTrapCycles,
+	CProtoMsgs:        ProtoMsgs,
+	CProtoInvals:      ProtoInvals,
+	CNetPackets:       NetPackets,
+	CNetFlits:         NetFlits,
+	CNetPacketCycles:  NetPacketCycles,
+	CMsgsSent:         MsgsSent,
+	CMsgsRecv:         MsgsRecv,
+	CMsgWords:         MsgWords,
+	CDMAWords:         DMAWords,
+	CIntStolenCycles:  IntStolenCycles,
+	CProcBusyCycles:   ProcBusyCycles,
+	CIdleCycles:       IdleCycles,
+	CThreadsCreated:   ThreadsCreated,
+	CThreadsStolen:    ThreadsStolen,
+	CStealAttempts:    StealAttempts,
+	CStealFailures:    StealFailures,
+	CBarrierEpisodes:  BarrierEpisodes,
+	CLockAcquisitions: LockAcquisitions,
+	CLockSpins:        LockSpins,
+	CCheckViolations:  CheckViolations,
+	CStressOps:        StressOps,
+	CNetFaultDrops:    NetFaultDrops,
+	CNetFaultDups:     NetFaultDups,
+	CNetFaultReorders: NetFaultReorders,
+	CRelRetransmits:   RelRetransmits,
+	CRelTimeouts:      RelTimeouts,
+	CRelDupDrops:      RelDupDrops,
+	CRelWindowDrops:   RelWindowDrops,
+	CRelAcks:          RelAcks,
 }
 
-// NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{m: make(map[string]int64)} }
-
-// Add increments counter name by delta.
-func (s *Set) Add(name string, delta int64) { s.m[name] += delta }
-
-// Inc increments counter name by one.
-func (s *Set) Inc(name string) { s.m[name]++ }
-
-// Get returns the current value of a counter (zero if never touched).
-func (s *Set) Get(name string) int64 { return s.m[name] }
-
-// Names returns all touched counter names, sorted.
-func (s *Set) Names() []string {
-	out := make([]string, 0, len(s.m))
-	for k := range s.m {
-		out = append(out, k)
+// byName lists every counter in report order: sorted by name.
+var byName = func() []Counter {
+	cs := make([]Counter, NumCounters)
+	for i := range cs {
+		cs[i] = Counter(i)
 	}
-	sort.Strings(out)
-	return out
+	sort.Slice(cs, func(i, j int) bool { return names[cs[i]] < names[cs[j]] })
+	return cs
+}()
+
+func (c Counter) String() string {
+	if c < NumCounters {
+		return names[c]
+	}
+	return fmt.Sprintf("counter(%d)", uint8(c))
 }
 
-// Reset zeroes every counter.
-func (s *Set) Reset() {
-	for k := range s.m {
-		delete(s.m, k)
-	}
-}
-
-// Snapshot returns a copy of the counters.
-func (s *Set) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(s.m))
-	for k, v := range s.m {
-		out[k] = v
-	}
-	return out
-}
-
-// Diff returns s - prev for every counter present in either.
-func (s *Set) Diff(prev map[string]int64) map[string]int64 {
-	out := make(map[string]int64)
-	for k, v := range s.m {
-		if d := v - prev[k]; d != 0 {
-			out[k] = d
-		}
-	}
-	for k, v := range prev {
-		if _, ok := s.m[k]; !ok && v != 0 {
-			out[k] = -v
-		}
-	}
-	return out
-}
-
-// Machine aggregates a global set plus one set per node.
+// Machine holds one dense counter array per node.
 type Machine struct {
-	Global *Set
-	Node   []*Set
+	Node [][NumCounters]int64
 }
 
 // NewMachine returns stats for n nodes.
 func NewMachine(n int) *Machine {
-	m := &Machine{Global: NewSet(), Node: make([]*Set, n)}
+	return &Machine{Node: make([][NumCounters]int64, n)}
+}
+
+// Add increments counter c on node id by delta.
+func (m *Machine) Add(id int, c Counter, delta int64) { m.Node[id][c] += delta }
+
+// Inc increments counter c on node id by one.
+func (m *Machine) Inc(id int, c Counter) { m.Node[id][c]++ }
+
+// Total returns counter c summed over every node.
+func (m *Machine) Total(c Counter) int64 {
+	var sum int64
 	for i := range m.Node {
-		m.Node[i] = NewSet()
+		sum += m.Node[i][c]
 	}
-	return m
+	return sum
 }
 
-// Add increments a counter on node id and in the global aggregate.
-func (m *Machine) Add(id int, name string, delta int64) {
-	m.Node[id].Add(name, delta)
-	m.Global.Add(name, delta)
-}
-
-// Inc increments a counter on node id and in the global aggregate.
-func (m *Machine) Inc(id int, name string) { m.Add(id, name, 1) }
-
-// Reset zeroes everything.
-func (m *Machine) Reset() {
-	m.Global.Reset()
-	for _, s := range m.Node {
-		s.Reset()
-	}
-}
-
-// String renders the global counters, one per line, for reports.
+// String renders the non-zero machine-wide totals, one per line sorted by
+// name, for reports.
 func (m *Machine) String() string {
 	var b strings.Builder
-	for _, name := range m.Global.Names() {
-		fmt.Fprintf(&b, "%-28s %12d\n", name, m.Global.Get(name))
+	for _, c := range byName {
+		if v := m.Total(c); v != 0 {
+			fmt.Fprintf(&b, "%-28s %12d\n", names[c], v)
+		}
 	}
 	return b.String()
 }

@@ -10,6 +10,7 @@ import (
 
 	"alewife/internal/cmmu"
 	"alewife/internal/mesh"
+	"alewife/internal/stats"
 	"alewife/internal/trace"
 )
 
@@ -54,7 +55,7 @@ func TestLossyCleanRuns(t *testing.T) {
 		}
 		// The wires must demonstrably have misbehaved, and the sublayer
 		// must demonstrably have recovered, or this proved nothing.
-		for _, c := range []string{"net.fault_drops", "rel.retransmits", "rel.acks"} {
+		for _, c := range []string{stats.NetFaultDrops, stats.RelRetransmits, stats.RelAcks} {
 			if !strings.Contains(res.StatsText, c) {
 				t.Fatalf("seed %d: counter %s never fired:\n%s", seed, c, res.StatsText)
 			}

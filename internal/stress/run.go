@@ -225,7 +225,7 @@ func execute(cfg Config, prog [][]Op) Result {
 			var opsBuf [1]uint64
 			var regBuf [1]cmmu.Region
 			for _, op := range ops {
-				m.St.Inc(node, stats.StressOps)
+				m.St.Inc(node, stats.CStressOps)
 				switch op.Kind {
 				case OpRead:
 					a := lay.word(op.Loc)
@@ -287,7 +287,7 @@ func execute(cfg Config, prog [][]Op) Result {
 	}()
 
 	res.Cycles = m.Eng.Now()
-	res.TotalOps = m.St.Global.Get(stats.StressOps)
+	res.TotalOps = m.St.Total(stats.CStressOps)
 	if cfg.Capture {
 		res.History = hist
 		res.TraceDigest = m.Trace.Digest()
