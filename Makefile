@@ -8,20 +8,16 @@
 #                  then protocol stress smokes (8 seeds, 2000 ops/node,
 #                  live invariants + per-location SC history checking) on
 #                  both perfect and lossy wires (seeded drop/dup/reorder
-#                  with reliable delivery recovering)
+#                  with reliable delivery recovering), explore and bench
+#                  smokes
 #   make explore-smoke  depth-bounded schedule-space exploration (model
 #                  checking) of a 4-node machine: every reachable
 #                  interleaving within bounds must pass every oracle
 #   make stress    the longer fuzz run used before cutting a release
-#   make perf      fixed workload suite -> BENCH_sim.json (ops/sec,
-#                  wall-clock, allocs/op); later PRs gate on regressions
-#   make perf-check  rerun the suite and fail if any workload regresses
-#                  against the committed BENCH_sim.json (+15% ns/op or
-#                  +0.5 allocs/op, best of 3 on wall-clock noise; cycle-
-#                  attribution shares within 2% absolute per bucket);
-#                  prints a per-workload delta table and names offenders
-#   make perf-quick  trimmed workload suite to stdout, nothing written —
-#                  fast local iteration while tuning a hot path
+#   make bench-smoke  every go test benchmark once (-benchtime 1x): each
+#                  body runs and checks its own result, no timing is gated.
+#                  Measure with go test -bench <Name> -benchmem; the
+#                  end-to-end wall-clock benchmark is bash perfbench/run.sh
 #   make cover     statement coverage with a per-package floor of
 #                  $(COVER_FLOOR)% across internal/...
 #
@@ -33,9 +29,9 @@ GO ?= go
 
 COVER_FLOOR ?= 60
 
-.PHONY: check build vet lint test cover stress-smoke stress-smoke-lossy explore-smoke stress bench perf perf-check perf-quick
+.PHONY: check build vet lint test cover stress-smoke stress-smoke-lossy explore-smoke stress bench bench-smoke
 
-check: build vet lint test cover stress-smoke stress-smoke-lossy explore-smoke perf-check
+check: build vet lint test cover stress-smoke stress-smoke-lossy explore-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -81,11 +77,5 @@ stress:
 bench:
 	$(GO) run ./cmd/alewife-bench -all -parallel 0
 
-perf:
-	$(GO) run ./cmd/alewife-perf -attrib
-
-perf-check:
-	$(GO) run ./cmd/alewife-perf -check BENCH_sim.json
-
-perf-quick:
-	$(GO) run ./cmd/alewife-perf -quick -out -
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"math"
 	"testing"
 
 	"alewife/internal/core"
@@ -179,3 +180,51 @@ func benchJacobi(b *testing.B, profiled bool) {
 
 func BenchmarkJacobiPlain(b *testing.B)    { benchJacobi(b, false) }
 func BenchmarkJacobiProfiled(b *testing.B) { benchJacobi(b, true) }
+
+// Cycle attribution is a pure function of the workload, so three profiled
+// runs pin every bucket's share of machine cycles exactly, rounded to four
+// decimals: any change in simulated behaviour that moves a bucket by 1e-4
+// or more fails here. Buckets absent from a table must be absent from the
+// run.
+func TestAttribSharesPinned(t *testing.T) {
+	cases := []struct {
+		name   string
+		nodes  int
+		mode   core.Mode
+		body   func(*core.RT)
+		shares map[string]float64
+	}{
+		{"jacobi-hybrid", 16, core.ModeHybrid, func(rt *core.RT) { Jacobi(rt, 16, 2) }, map[string]float64{
+			"cache-hit": 0.0381, "compute": 0.2579, "dir-pipeline": 0.0732,
+			"handler": 0.3193, "miss-stall": 0.1099, "msg-queue": 0.0356,
+			"net-transit": 0.0469, "sync-wait": 0.1382, "untracked": 0.1366,
+		}},
+		{"grain-sm", 8, core.ModeSharedMemory, func(rt *core.RT) { GrainParallel(rt, 6, 100) }, map[string]float64{
+			"cache-hit": 0.014, "compute": 0.0625, "dir-pipeline": 0.1354,
+			"dir-trap": 0.079, "idle": 0.5121, "miss-stall": 0.0957,
+			"net-queue": 0.0289, "net-transit": 0.193, "sync-wait": 0.2179,
+			"untracked": 0.0188,
+		}},
+		{"memcpy-msg", 4, core.ModeHybrid, func(rt *core.RT) { Memcpy(rt, 1, 4096, CopyMessage) }, map[string]float64{
+			"cache-hit": 0.0109, "compute": 0.0085, "dir-pipeline": 0.0982,
+			"miss-stall": 0.1419, "net-transit": 0.0884, "sync-wait": 0.0887,
+			"untracked": 0.75,
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, prof := profiledRT(t, tc.nodes, tc.mode)
+			tc.body(rt)
+			finishAttrib(t, rt.M, prof)
+			got := prof.Shares()
+			for name, share := range got {
+				got[name] = math.Round(share*1e4) / 1e4
+			}
+			for b := metrics.Bucket(0); b < metrics.NumBuckets; b++ {
+				if name := b.String(); got[name] != tc.shares[name] {
+					t.Errorf("%s share = %v, want %v", name, got[name], tc.shares[name])
+				}
+			}
+		})
+	}
+}

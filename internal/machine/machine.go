@@ -171,10 +171,27 @@ func (s msgSteal) StealCycles(node int, cycles uint64) {
 	}
 }
 
-// New builds a machine per cfg.
+// Validate reports the first field of cfg that cannot build a machine, with
+// an error saying what to fix. New panics with the same error, so library
+// callers that take a Config from outside the program call Validate first.
+func (cfg *Config) Validate() error {
+	switch {
+	case cfg.Nodes < 1:
+		return fmt.Errorf("machine: %d nodes; need at least one", cfg.Nodes)
+	case cfg.WordsPerNode == 0:
+		return fmt.Errorf("machine: WordsPerNode is 0; every node needs memory")
+	case cfg.CacheSets < 1 || cfg.CacheSets&(cfg.CacheSets-1) != 0:
+		return fmt.Errorf("machine: CacheSets is %d; want a positive power of two", cfg.CacheSets)
+	case cfg.CacheWays < 1:
+		return fmt.Errorf("machine: CacheWays is %d; want at least one", cfg.CacheWays)
+	}
+	return nil
+}
+
+// New builds a machine per cfg. It panics if cfg.Validate fails.
 func New(cfg Config) *Machine {
-	if cfg.Nodes < 1 {
-		panic("machine: need at least one node")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	m := &Machine{Cfg: cfg, Eng: sim.NewEngine(), St: stats.NewMachine(cfg.Nodes)}
 	w, h := mesh.Dims(cfg.Nodes)

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"strings"
 	"testing"
 
 	"alewife/internal/machine"
@@ -188,6 +189,51 @@ func TestMicros(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(1))
 	if got := m.Micros(33); got != 1.0 {
 		t.Fatalf("33 cycles at 33 MHz = %v µs, want 1", got)
+	}
+}
+
+// Every Config field that cannot build a machine comes back from Validate
+// as an error naming it, and New panics with that same error rather than
+// building a machine with no memory or failing deeper in the stack.
+func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*machine.Config)
+		want string // substring of the error; "" means valid
+	}{
+		{"default", func(c *machine.Config) {}, ""},
+		{"zero-nodes", func(c *machine.Config) { c.Nodes = 0 }, "0 nodes"},
+		{"negative-nodes", func(c *machine.Config) { c.Nodes = -3 }, "-3 nodes"},
+		{"zero-words", func(c *machine.Config) { c.WordsPerNode = 0 }, "WordsPerNode is 0"},
+		{"zero-sets", func(c *machine.Config) { c.CacheSets = 0 }, "CacheSets is 0"},
+		{"sets-not-power-of-two", func(c *machine.Config) { c.CacheSets = 24 }, "CacheSets is 24"},
+		{"negative-sets", func(c *machine.Config) { c.CacheSets = -4 }, "CacheSets is -4"},
+		{"zero-ways", func(c *machine.Config) { c.CacheWays = 0 }, "CacheWays is 0"},
+		{"negative-ways", func(c *machine.Config) { c.CacheWays = -1 }, "CacheWays is -1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := machine.DefaultConfig(2)
+			tc.mut(&cfg)
+			err := cfg.Validate()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Validate: %v, want nil", err)
+				}
+				machine.New(cfg)
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate: %v, want error containing %q", err, tc.want)
+			}
+			defer func() {
+				if e, ok := recover().(error); !ok || e.Error() != err.Error() {
+					t.Fatalf("New panicked with %v, want %v", e, err)
+				}
+			}()
+			machine.New(cfg)
+			t.Fatal("New accepted an invalid config")
+		})
 	}
 }
 

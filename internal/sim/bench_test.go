@@ -21,28 +21,34 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkRunChurn measures event execution with a standing population of
-// 512 self-rescheduling timers at mixed periods — the shape of a busy
-// machine simulation (cache fills, network hops, handler timers in flight).
-func BenchmarkRunChurn(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine()
+// armChurn arms a standing population of 512 self-rescheduling timers at
+// mixed periods, the shape of a busy machine simulation (cache fills,
+// network hops, handler timers in flight). Between them they fire total
+// times (at least once each), then the queue drains.
+func armChurn(e *Engine, total int) {
 	const standing = 512
-	remaining := b.N
 	periods := [...]uint64{1, 2, 3, 5, 7, 11, 13, 1024}
+	remaining := total
 	for i := 0; i < standing; i++ {
 		d := periods[i%len(periods)]
 		var fn func()
 		fn = func() {
-			remaining--
-			if remaining > 0 {
+			// Once fewer fires remain than timers, each timer's next
+			// fire is its last.
+			if remaining--; remaining >= standing {
 				e.After(d, fn)
-			} else {
-				e.Halt()
 			}
 		}
 		e.After(d, fn)
 	}
+}
+
+// BenchmarkRunChurn measures event execution at a standing queue depth of
+// 512 timers.
+func BenchmarkRunChurn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	armChurn(e, b.N)
 	b.ResetTimer()
 	e.Run()
 }
@@ -90,4 +96,37 @@ func BenchmarkContextPingPong(b *testing.B) {
 	e.Spawn("pong", 1, body)
 	b.ResetTimer()
 	e.Run()
+}
+
+// A warmed engine allocates nothing per event or per context switch: the
+// allocations per run (the churn closures; one context's spawn) are the
+// same at 20k and 80k operations.
+func TestHotPathAllocsFlat(t *testing.T) {
+	e := NewEngine()
+	workloads := []struct {
+		name string
+		run  func(n int)
+	}{
+		{"run-churn", func(n int) {
+			armChurn(e, n)
+			e.Run()
+		}},
+		{"context-switch", func(n int) {
+			e.Spawn("switch", e.Now(), func(c *Context) {
+				for i := 0; i < n; i++ {
+					c.Sleep(1)
+				}
+			})
+			e.Run()
+		}},
+	}
+	for _, w := range workloads {
+		t.Run(w.name, func(t *testing.T) {
+			short := testing.AllocsPerRun(5, func() { w.run(20_000) })
+			long := testing.AllocsPerRun(5, func() { w.run(80_000) })
+			if short != long {
+				t.Fatalf("allocs per run grow with run length: %v at 20k ops, %v at 80k", short, long)
+			}
+		})
+	}
 }
