@@ -1,10 +1,11 @@
 # Tier-1 verification: what CI (and the roadmap) gate on.
 #
-#   make check     build, vet, lint (the alewife-lint analyzer suite as
-#                  a go vet vettool: determinism, engine confinement,
-#                  pool discipline, hot-path allocs,
+#   make check     build, vet, lint (the alewife-lint analyzer suite:
+#                  determinism, pool discipline, hot-path allocs,
 #                  nil-receiver guards — zero findings, no baseline),
-#                  full test suite under the race detector,
+#                  full test suite under the race detector (which also
+#                  holds engine confinement: the fan-out determinism
+#                  tests run every fan-out site with real workers),
 #                  then protocol stress smokes (8 seeds, 2000 ops/node,
 #                  live invariants + per-location SC history checking) on
 #                  both perfect and lossy wires (seeded drop/dup/reorder
@@ -39,13 +40,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The project's own analyzer suite (cmd/alewife-lint), run through go
-# vet's vettool protocol so the build cache keeps it incremental. Strict:
-# there is no baseline file; exceptions live in the source as
-# //alewife:allow comments with reasons.
+# The project's own analyzer suite (cmd/alewife-lint). Strict: there is
+# no baseline file; exceptions live in the source as //alewife:allow
+# comments with reasons.
 lint:
-	$(GO) build -o bin/alewife-lint ./cmd/alewife-lint
-	$(GO) vet -vettool=$(CURDIR)/bin/alewife-lint ./...
+	$(GO) run ./cmd/alewife-lint ./...
 
 test:
 	$(GO) test -race ./...

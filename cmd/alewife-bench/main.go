@@ -41,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *loss < 0 || *loss > 0.5 {
+	if !(*loss >= 0 && *loss <= 0.5) { // negated so NaN fails too
 		fmt.Fprintln(stderr, "-loss must be in [0, 0.5]")
 		return 2
 	}

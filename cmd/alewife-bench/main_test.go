@@ -63,8 +63,10 @@ func TestLossFlagChangesResultsDeterministically(t *testing.T) {
 	if a == clean {
 		t.Fatal("-loss 0.01 changed nothing: faults not reaching the experiment")
 	}
-	if _, _, code := runBench(t, "-experiment", "fig7", "-loss", "0.9"); code != 2 {
-		t.Errorf("absurd -loss: exit %d, want 2", code)
+	for _, bad := range []string{"0.9", "-0.1", "NaN", "+Inf"} {
+		if _, _, code := runBench(t, "-experiment", "fig7", "-loss", bad); code != 2 {
+			t.Errorf("-loss %s: exit %d, want 2", bad, code)
+		}
 	}
 }
 

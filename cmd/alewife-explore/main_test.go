@@ -61,10 +61,14 @@ func TestOutAndReplayRoundTrip(t *testing.T) {
 
 func TestConfigErrorsExitTwo(t *testing.T) {
 	for name, args := range map[string][]string{
-		"unknown-fault": {"-fault", "bogus"},
-		"bad-mix-word":  {"-mix", "1,2,x"},
-		"bad-mix-len":   {"-mix", "1,2,3"},
-		"missing-trace": {"-replay", filepath.Join(t.TempDir(), "nope.trace")},
+		"unknown-fault":         {"-fault", "bogus"},
+		"bad-mix-word":          {"-mix", "1,2,x"},
+		"bad-mix-len":           {"-mix", "1,2,3"},
+		"missing-trace":         {"-replay", filepath.Join(t.TempDir(), "nope.trace")},
+		"negative-depth":        {"-depth", "-1"},
+		"negative-runs":         {"-runs", "-1"},
+		"negative-width":        {"-width", "-1"},
+		"negative-faultpackets": {"-faultpackets", "-1"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, errOut, code := runExplore(t, args...)

@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,25 +10,8 @@ import (
 func runLint(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
 	var out, errb bytes.Buffer
-	code := run(append([]string{"alewife-lint"}, args...), &out, &errb)
+	code := run(args, &out, &errb)
 	return out.String(), errb.String(), code
-}
-
-func TestVetHandshake(t *testing.T) {
-	out, _, code := runLint(t, "-V=full")
-	if code != 0 {
-		t.Fatalf("-V=full: exit %d", code)
-	}
-	if !strings.HasPrefix(out, "alewife-lint version devel buildID=") {
-		t.Errorf("-V=full output %q, want name/version/buildID line", out)
-	}
-	out, _, code = runLint(t, "-flags")
-	if code != 0 {
-		t.Fatalf("-flags: exit %d", code)
-	}
-	if strings.TrimSpace(out) != "[]" {
-		t.Errorf("-flags output %q, want []", out)
-	}
 }
 
 func TestCleanPackageExitsZero(t *testing.T) {
@@ -45,7 +26,7 @@ func TestCleanPackageExitsZero(t *testing.T) {
 
 func TestFindingsExitOne(t *testing.T) {
 	dir := filepath.Join("..", "..", "internal", "analysis", "testdata", "determinism")
-	out, errOut, code := runLint(t, "-dir", dir, "-analyzers", "determinism", "./...")
+	out, errOut, code := runLint(t, "-dir", dir, "./...")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, out, errOut)
 	}
@@ -57,50 +38,11 @@ func TestFindingsExitOne(t *testing.T) {
 	}
 }
 
-func TestAnalyzerSubsetFilters(t *testing.T) {
-	// The determinism module violates only determinism rules; running a
-	// different analyzer over it must come back clean.
-	dir := filepath.Join("..", "..", "internal", "analysis", "testdata", "determinism")
-	out, _, code := runLint(t, "-dir", dir, "-analyzers", "nilrecv", "./...")
-	if code != 0 {
-		t.Fatalf("exit %d, want 0\n%s", code, out)
-	}
-}
-
 func TestUsageErrorsExitTwo(t *testing.T) {
-	if _, errOut, code := runLint(t, "-analyzers", "nosuch"); code != 2 {
-		t.Errorf("unknown analyzer: exit %d, want 2 (%s)", code, errOut)
-	}
 	if _, _, code := runLint(t, "-no-such-flag"); code != 2 {
 		t.Errorf("unknown flag: exit %d, want 2", code)
 	}
 	if _, _, code := runLint(t, "-dir", t.TempDir(), "./..."); code != 2 {
 		t.Errorf("load failure outside a module: exit %d, want 2", code)
-	}
-}
-
-func TestVetConfigVetxOnly(t *testing.T) {
-	dir := t.TempDir()
-	vetx := filepath.Join(dir, "out.vetx")
-	cfgPath := filepath.Join(dir, "pkg.cfg")
-	cfg, _ := json.Marshal(map[string]any{"ImportPath": "x", "VetxOnly": true, "VetxOutput": vetx})
-	if err := os.WriteFile(cfgPath, cfg, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, errOut, code := runLint(t, cfgPath); code != 0 {
-		t.Fatalf("VetxOnly config: exit %d: %s", code, errOut)
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Errorf("vetx output not written: %v", err)
-	}
-}
-
-func TestVetConfigMalformed(t *testing.T) {
-	cfgPath := filepath.Join(t.TempDir(), "bad.cfg")
-	if err := os.WriteFile(cfgPath, []byte("{not json"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, code := runLint(t, cfgPath); code == 0 {
-		t.Error("malformed vet config accepted")
 	}
 }

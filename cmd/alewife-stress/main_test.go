@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,13 @@ func TestInjectedFaultExitsNonZero(t *testing.T) {
 
 func TestParallelOutputMatchesSerial(t *testing.T) {
 	// The fan-out promise: same seeds, same bytes, regardless of workers.
+	// fanout.Workers clamps -parallel to GOMAXPROCS, so raise it: on a
+	// 1-CPU host the run would otherwise be serial, and the race detector
+	// would never see this fan-out site's jobs run side by side.
+	if old := runtime.GOMAXPROCS(0); old < 4 {
+		runtime.GOMAXPROCS(4)
+		defer runtime.GOMAXPROCS(old)
+	}
 	serial, _, codeS := runStress(t, "-seeds", "4", "-ops", "300", "-v")
 	par, _, codeP := runStress(t, "-seeds", "4", "-ops", "300", "-v", "-parallel", "4")
 	if codeS != 0 || codeP != 0 {

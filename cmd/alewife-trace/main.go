@@ -55,11 +55,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mode = alewife.SharedMemory
 	} else if *modeStr != "hybrid" {
 		fmt.Fprintln(stderr, "mode must be hybrid or sm")
-		return 1
+		return 2
 	}
-	if *loss < 0 || *loss > 0.5 {
+	if !(*loss >= 0 && *loss <= 0.5) { // negated so NaN fails too
 		fmt.Fprintln(stderr, "-loss must be in [0, 0.5]")
-		return 1
+		return 2
 	}
 
 	cfg := machine.DefaultConfig(*nodes)
@@ -90,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "3 barrier episodes, %v mode, machine time %d cycles\n\n", mode, m.Eng.Now())
 	default:
 		fmt.Fprintln(stderr, "unknown workload; use grain, jacobi or barrier")
-		return 1
+		return 2
 	}
 
 	fmt.Fprintf(stdout, "--- last %d events ---\n%s\n", *tail, buf.Format(*tail))

@@ -40,14 +40,18 @@ func TestDeterministicOutput(t *testing.T) {
 }
 
 func TestBadFlagsExitNonZero(t *testing.T) {
-	if _, _, code := runTrace(t, "-mode", "bogus"); code == 0 {
-		t.Error("bad -mode accepted")
-	}
-	if _, _, code := runTrace(t, "-workload", "bogus"); code == 0 {
-		t.Error("bad -workload accepted")
-	}
-	if _, _, code := runTrace(t, "-no-such-flag"); code != 2 {
-		t.Errorf("unknown flag: exit %d, want 2", code)
+	for _, args := range [][]string{
+		{"-mode", "bogus"},
+		{"-workload", "bogus"},
+		{"-no-such-flag"},
+		{"-loss", "0.9"},
+		{"-loss", "-0.1"},
+		{"-loss", "NaN"},
+		{"-loss", "+Inf"},
+	} {
+		if _, _, code := runTrace(t, args...); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
 	}
 }
 
@@ -98,9 +102,6 @@ func TestLossyTraceShowsRecoveryAndStaysDeterministic(t *testing.T) {
 	}
 	if c, _, _ := runTrace(t, "-nodes", "4", "-workload", "jacobi", "-loss", "0.01", "-netseed", "9"); c == a {
 		t.Fatal("-netseed did not change the fault schedule")
-	}
-	if _, _, code := runTrace(t, "-loss", "0.9"); code == 0 {
-		t.Error("absurd -loss accepted")
 	}
 }
 

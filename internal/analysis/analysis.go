@@ -1,23 +1,20 @@
-// Package analysis is the simulator's static-analysis suite: five analyzers
-// that enforce, at compile time, the rules the rest of the codebase states
-// only in comments and checks only at runtime (DESIGN §8–§13) — engine
-// confinement, deterministic output, pool discipline, allocation-free sink
-// paths, and the nil-receiver-no-op convention. The paper's CMMU made
-// illegal interactions between the message and shared-memory paths
-// structurally impossible in hardware; this package is the equivalent for
-// the Go reproduction.
+// Package analysis is the simulator's static-analysis suite: four analyzers
+// that enforce, at compile time, rules the rest of the codebase states only
+// in comments and checks only at runtime (DESIGN §14) — deterministic
+// output, pool discipline, allocation-free sink paths, and the
+// nil-receiver-no-op convention. Engine confinement, the rule the parallel
+// fan-out depends on (DESIGN §8), is not here: the race detector holds it
+// over the fan-out determinism tests.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but is built on the standard library alone:
 // packages are loaded via `go list -export` and type-checked against gc
-// export data (load.go), so the suite needs no third-party modules. The
-// cmd/alewife-lint driver runs it either standalone or as a
-// unitchecker-compatible vettool under `go vet -vettool`.
+// export data (load.go), so the suite needs no third-party modules.
+// cmd/alewife-lint is the one command that runs it, and the analyzer
+// tests load their testdata modules through the same Load.
 //
 // Rules are steered by three source annotations (DESIGN §14):
 //
-//	//alewife:engine-only          on a func/method: callable only on the
-//	                               goroutine driving the owning engine
 //	//alewife:hotpath              on a func/method: body must stay
 //	                               closure-, boxing- and fmt-free
 //	//alewife:nil-safe             on a type: every exported method must
@@ -57,12 +54,8 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// PkgPath is the import path with any test-variant suffix stripped.
-	PkgPath string
-	// Index resolves //alewife: annotations on module-local packages
-	// (including this one) from source, without needing exported facts.
-	Index *Index
 
+	local  map[string]bool // see Package.local
 	report func(Diagnostic)
 	allow  map[allowKey]bool
 }
@@ -117,44 +110,15 @@ func (p *Pass) buildAllow() {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		EngineConfine,
 		NilRecv,
 		PoolEscape,
 		SinkAlloc,
 	}
 }
 
-// ByName resolves a comma-separated analyzer list; an unknown name is an
-// error naming the known set.
-func ByName(names string) ([]*Analyzer, error) {
-	var out []*Analyzer
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		found := false
-		for _, a := range All() {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			var known []string
-			for _, a := range All() {
-				known = append(known, a.Name)
-			}
-			return nil, fmt.Errorf("unknown analyzer %q (known: %s)", name, strings.Join(known, ", "))
-		}
-	}
-	return out, nil
-}
-
 // RunAnalyzers applies each analyzer to one loaded package and returns the
 // findings sorted by position then analyzer name.
-func RunAnalyzers(pkg *Package, idx *Index, analyzers []*Analyzer) ([]Diagnostic, error) {
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -163,8 +127,7 @@ func RunAnalyzers(pkg *Package, idx *Index, analyzers []*Analyzer) ([]Diagnostic
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			PkgPath:  TrimTestVariant(pkg.Path),
-			Index:    idx,
+			local:    pkg.local,
 			report:   func(d Diagnostic) { diags = append(diags, d) },
 		}
 		pass.buildAllow()
@@ -179,13 +142,4 @@ func RunAnalyzers(pkg *Package, idx *Index, analyzers []*Analyzer) ([]Diagnostic
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
 	return diags, nil
-}
-
-// TrimTestVariant strips go's " [pkg.test]" suffix from a test-variant
-// import path.
-func TrimTestVariant(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		return path[:i]
-	}
-	return path
 }

@@ -5,7 +5,7 @@
 // line matching each quoted regex, and any diagnostic without a matching
 // want fails the test. Each testdata module is a real module (own go.mod,
 // stdlib-only imports) so the loader exercises the exact `go list -export`
-// path the production drivers use.
+// path cmd/alewife-lint uses.
 package analysistest
 
 import (
@@ -39,13 +39,12 @@ func Run(t *testing.T, moduleDir string, a *analysis.Analyzer, patterns ...strin
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, resolve, err := analysis.Load(moduleDir, patterns...)
+	pkgs, err := analysis.Load(moduleDir, patterns...)
 	if err != nil {
 		t.Fatalf("loading %s: %v", moduleDir, err)
 	}
-	idx := analysis.NewIndex(resolve)
 	for _, pkg := range pkgs {
-		diags, err := analysis.RunAnalyzers(pkg, idx, []*analysis.Analyzer{a})
+		diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a})
 		if err != nil {
 			t.Fatalf("%s: %v", pkg.Path, err)
 		}

@@ -2,108 +2,14 @@ package analysis
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
-	"strings"
 )
 
 // Annotation directives recognized on declarations.
 const (
-	DirEngineOnly = "//alewife:engine-only"
-	DirHotPath    = "//alewife:hotpath"
-	DirNilSafe    = "//alewife:nil-safe"
+	DirHotPath = "//alewife:hotpath"
+	DirNilSafe = "//alewife:nil-safe"
 )
-
-// Index resolves //alewife: annotations to symbols by parsing module-local
-// package source on demand. It is the suite's substitute for exported
-// facts: annotations live in doc comments, which export data does not
-// carry, so cross-package rules (engineconfine calling into sim from a
-// worker closure in cmd/) re-read the declaring package's source. Parsing
-// is comment-only (no type checking) and cached per directory, so the cost
-// is one cheap parse per imported module-local package.
-type Index struct {
-	// resolve maps an import path (test-variant suffix already stripped)
-	// to the package's source directory, or "" when the package is not
-	// module-local and therefore carries no annotations.
-	resolve func(pkgPath string) string
-	dirs    map[string]map[string]string // dir -> symbol -> directive
-}
-
-// NewIndex returns an annotation index over the given path resolver.
-func NewIndex(resolve func(pkgPath string) string) *Index {
-	return &Index{resolve: resolve, dirs: make(map[string]map[string]string)}
-}
-
-// ModuleResolver maps import paths under modPath to directories under
-// modRoot — the resolver for a single-module tree (the vettool's case,
-// where only the module prefix and root are known).
-func ModuleResolver(modPath, modRoot string) func(string) string {
-	return func(pkgPath string) string {
-		if pkgPath == modPath {
-			return modRoot
-		}
-		rel, ok := strings.CutPrefix(pkgPath, modPath+"/")
-		if !ok {
-			return ""
-		}
-		return filepath.Join(modRoot, filepath.FromSlash(rel))
-	}
-}
-
-// EngineOnly reports whether the symbol (see Symbol) is annotated
-// //alewife:engine-only.
-func (ix *Index) EngineOnly(pkgPath, symbol string) bool {
-	return ix.directive(pkgPath, symbol) == DirEngineOnly
-}
-
-func (ix *Index) directive(pkgPath, symbol string) string {
-	dir := ix.resolve(pkgPath)
-	if dir == "" {
-		return ""
-	}
-	syms, ok := ix.dirs[dir]
-	if !ok {
-		syms = scanDir(dir)
-		ix.dirs[dir] = syms
-	}
-	return syms[symbol]
-}
-
-// scanDir parses every non-test .go file in dir and records the directive
-// (if any) attached to each top-level func declaration. Unreadable or
-// unparsable files contribute nothing: the index is advisory and the
-// package itself is type-checked elsewhere.
-func scanDir(dir string) map[string]string {
-	syms := make(map[string]string)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return syms
-	}
-	fset := token.NewFileSet()
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if dir := DeclDirective(fd.Doc); dir != "" {
-				syms[funcSymbol(fd)] = dir
-			}
-		}
-	}
-	return syms
-}
 
 // DeclDirective returns the //alewife: annotation directive in a doc
 // comment, or "".
@@ -113,62 +19,11 @@ func DeclDirective(doc *ast.CommentGroup) string {
 	}
 	for _, c := range doc.List {
 		switch c.Text {
-		case DirEngineOnly, DirHotPath, DirNilSafe:
+		case DirHotPath, DirNilSafe:
 			return c.Text
 		}
 	}
 	return ""
-}
-
-// funcSymbol names a declaration the way Symbol names a types.Func:
-// "Func" or "Recv.Method" with any receiver pointer stripped.
-func funcSymbol(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr: // generic receiver T[P]
-			t = tt.X
-		case *ast.IndexListExpr:
-			t = tt.X
-		default:
-			if id, ok := t.(*ast.Ident); ok {
-				return id.Name + "." + fd.Name.Name
-			}
-			return fd.Name.Name
-		}
-	}
-}
-
-// Symbol splits a resolved function object into its package path and the
-// in-package symbol name used by the index ("Func" or "Recv.Method").
-// The second result is "" for builtins and other package-less functions.
-func Symbol(fn *types.Func) (pkgPath, symbol string) {
-	if fn == nil || fn.Pkg() == nil {
-		return "", ""
-	}
-	pkgPath = TrimTestVariant(fn.Pkg().Path())
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return pkgPath, fn.Name()
-	}
-	recv := sig.Recv()
-	if recv == nil {
-		return pkgPath, fn.Name()
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return pkgPath, fn.Name()
-	}
-	return pkgPath, named.Obj().Name() + "." + fn.Name()
 }
 
 // CalleeFunc resolves the called function of an expression, looking through

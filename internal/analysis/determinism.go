@@ -52,14 +52,15 @@ var outputMethods = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) error {
-	internal := strings.Contains(pass.PkgPath+"/", "internal/")
-	confined := confinedRe.MatchString(pass.PkgPath)
+	path := pass.Pkg.Path()
+	internal := strings.Contains(path+"/", "internal/")
+	confined := confinedRe.MatchString(path)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				if confined {
-					pass.Reportf(n.Pos(), "goroutine spawn in engine-confined package %s: engine state is single-threaded by construction (DESIGN §8); use sim contexts, or document the synchronization with //alewife:allow", pass.PkgPath)
+					pass.Reportf(n.Pos(), "goroutine spawn in engine-confined package %s: engine state is single-threaded by construction (DESIGN §8); use sim contexts, or document the synchronization with //alewife:allow", path)
 				}
 			case *ast.CallExpr:
 				if internal {

@@ -12,17 +12,21 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"strings"
+	"path/filepath"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	// local holds the import path of every package the load listed that
+	// is not in the standard library: this module's packages, the ones
+	// poolescape treats as pool APIs.
+	local map[string]bool
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -37,13 +41,10 @@ type listPkg struct {
 }
 
 // Load lists patterns (plus their dependency closure) in dir via
-// `go list -export -deps -json`, parses and type-checks every non-dep
-// target package against the dependencies' gc export data, and returns the
-// targets plus a resolver from import path to source directory for the
-// annotation Index. Loading is the standalone driver's and the test
-// harness's front door; the vettool path (cmd/alewife-lint) gets the same
-// inputs from go vet's unitchecker config instead.
-func Load(dir string, patterns ...string) ([]*Package, func(string) string, error) {
+// `go list -export -deps -json`, then parses and type-checks every non-dep
+// target package against the dependencies' gc export data. It is the one
+// front door: cmd/alewife-lint and the analyzer tests both load through it.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -51,11 +52,11 @@ func Load(dir string, patterns ...string) ([]*Package, func(string) string, erro
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
 
 	exportFile := make(map[string]string)
-	pkgDir := make(map[string]string)
+	local := make(map[string]bool)
 	var targets []*listPkg
 	dec := json.NewDecoder(&stdout)
 	for {
@@ -63,47 +64,43 @@ func Load(dir string, patterns ...string) ([]*Package, func(string) string, erro
 		if err := dec.Decode(lp); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, nil, fmt.Errorf("go list: decoding output: %v", err)
+			return nil, fmt.Errorf("go list: decoding output: %v", err)
 		}
 		if lp.Error != nil {
-			return nil, nil, fmt.Errorf("go list: %s: %s", lp.ImportPath, lp.Error.Err)
+			return nil, fmt.Errorf("go list: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
 		if lp.Export != "" {
 			exportFile[lp.ImportPath] = lp.Export
 		}
-		pkgDir[lp.ImportPath] = lp.Dir
-		if !lp.DepOnly && !lp.Standard {
+		if lp.Standard {
+			continue
+		}
+		local[lp.ImportPath] = true
+		if !lp.DepOnly {
 			targets = append(targets, lp)
 		}
 	}
 
 	fset := token.NewFileSet()
-	imp := newExportImporter(fset, func(path string) (string, bool) {
-		f, ok := exportFile[path]
-		return f, ok
-	})
+	imp := newExportImporter(fset, exportFile)
 	var pkgs []*Package
 	for _, lp := range targets {
 		pkg, err := typeCheck(fset, lp.ImportPath, lp.Dir, lp.GoFiles, imp)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
+		pkg.local = local
 		pkgs = append(pkgs, pkg)
 	}
-	resolve := func(path string) string { return pkgDir[path] }
-	return pkgs, resolve, nil
+	return pkgs, nil
 }
 
-// typeCheck parses files (rooted at dir when relative) and type-checks them
-// as one package.
+// typeCheck parses files (relative to dir) and type-checks them as one
+// package.
 func typeCheck(fset *token.FileSet, path, dir string, files []string, imp types.Importer) (*Package, error) {
 	var asts []*ast.File
 	for _, name := range files {
-		full := name
-		if !strings.HasPrefix(name, "/") {
-			full = dir + string(os.PathSeparator) + name
-		}
-		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", path, err)
 		}
@@ -119,41 +116,25 @@ func typeCheck(fset *token.FileSet, path, dir string, files []string, imp types.
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(TrimTestVariant(path), fset, asts, info)
+	tpkg, err := conf.Check(path, fset, asts, info)
 	if err != nil {
 		return nil, fmt.Errorf("%s: typecheck: %v", path, err)
 	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: asts, Types: tpkg, Info: info}, nil
-}
-
-// TypeCheckFiles is the vettool entry point: type-check the given files as
-// package path, resolving imports through importMap (source path ->
-// resolved path, identity when absent) to export-data files.
-func TypeCheckFiles(path string, files []string, importMap map[string]string, packageFile map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := newExportImporter(fset, func(p string) (string, bool) {
-		if r, ok := importMap[p]; ok {
-			p = r
-		}
-		f, ok := packageFile[p]
-		return f, ok
-	})
-	return typeCheck(fset, path, "", files, imp)
+	return &Package{Path: path, Fset: fset, Files: asts, Types: tpkg, Info: info}, nil
 }
 
 // exportImporter loads dependency type information from gc export data —
-// the files `go list -export` (or go vet's config) names. types.Package
-// values are cached so diamond imports share one instance.
+// the files `go list -export` names. types.Package values are cached so
+// diamond imports share one instance.
 type exportImporter struct {
-	gc     types.ImporterFrom
-	lookup func(path string) (string, bool)
-	cache  map[string]*types.Package
+	gc    types.ImporterFrom
+	cache map[string]*types.Package
 }
 
-func newExportImporter(fset *token.FileSet, lookup func(string) (string, bool)) *exportImporter {
-	ei := &exportImporter{lookup: lookup, cache: make(map[string]*types.Package)}
+func newExportImporter(fset *token.FileSet, exportFile map[string]string) *exportImporter {
+	ei := &exportImporter{cache: make(map[string]*types.Package)}
 	ei.gc = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := lookup(path)
+		file, ok := exportFile[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}

@@ -56,13 +56,9 @@ func releaseName(name string) bool {
 }
 
 // moduleLocal reports whether fn is declared in this module — pool APIs
-// are, stdlib Get/Put lookalikes are not.
+// are, stdlib Get/Put lookalikes (ring.Next, sync.Pool.Put) are not.
 func (p *Pass) moduleLocal(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	path := TrimTestVariant(fn.Pkg().Path())
-	return path == p.PkgPath || p.Index.resolve(path) != ""
+	return fn != nil && fn.Pkg() != nil && p.local[fn.Pkg().Path()]
 }
 
 type releaseSite struct {

@@ -3,6 +3,11 @@
 // bites once the record is re-issued mid-flight.
 package pool
 
+import (
+	"container/ring"
+	"sync"
+)
+
 type rec struct {
 	n    int
 	next *rec
@@ -64,4 +69,13 @@ func Reacquire(p *pool) int {
 	r.n = 2
 	p.put(r)
 	return 0
+}
+
+// StdlibLookalike: ring.Next and sync.Pool.Put match the acquire and
+// release name patterns, but they belong to the standard library, not to a
+// pool of this module, so nothing is flagged.
+func StdlibLookalike(r *ring.Ring, p *sync.Pool) int {
+	n := r.Next()
+	p.Put(n)
+	return n.Len()
 }

@@ -135,6 +135,17 @@ func (o *Outcome) Summary() string {
 	return b.String()
 }
 
+// validate rejects negative bounds before withDefaults would quietly turn
+// them into defaults: zero is the request for a default (or, for width,
+// for every alternative), so a negative value is always a mistake.
+func (cfg *Config) validate() error {
+	if cfg.MaxDepth < 0 || cfg.MaxRuns < 0 || cfg.MaxWidth < 0 || cfg.FaultPackets < 0 {
+		return fmt.Errorf("explore: negative bound (depth=%d runs=%d width=%d faultpackets=%d): zero means default, negatives are mistakes",
+			cfg.MaxDepth, cfg.MaxRuns, cfg.MaxWidth, cfg.FaultPackets)
+	}
+	return nil
+}
+
 func (cfg Config) withDefaults() Config {
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 64
@@ -186,6 +197,9 @@ type frame struct {
 // fails to reproduce — determinism is broken); protocol violations are not
 // errors, they are the Found outcome.
 func Explore(cfg Config) (Outcome, error) {
+	if err := cfg.validate(); err != nil {
+		return Outcome{}, err
+	}
 	cfg = cfg.withDefaults()
 	if err := cfg.Stress.Validate(); err != nil {
 		return Outcome{}, err
@@ -276,6 +290,9 @@ func (ex *Explorer) expand(stack []frame, r *runner) []frame {
 // A trace that does not align with the run's actual choice points — wrong
 // kind or an out-of-range pick — is an error.
 func Replay(cfg Config, steps []Step) (stress.Result, []Step, error) {
+	if err := cfg.validate(); err != nil {
+		return stress.Result{}, nil, err
+	}
 	cfg = cfg.withDefaults()
 	cfg.NoDedup = true // replay needs no pruning state
 	if err := cfg.Stress.Validate(); err != nil {

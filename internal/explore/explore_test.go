@@ -142,6 +142,26 @@ func TestExploreRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// A negative bound is a mistake, not a request for the default: both entry
+// points reject it before defaults are applied.
+func TestExploreRejectsNegativeBounds(t *testing.T) {
+	for name, set := range map[string]func(*Config){
+		"depth":        func(c *Config) { c.MaxDepth = -1 },
+		"runs":         func(c *Config) { c.MaxRuns = -1 },
+		"width":        func(c *Config) { c.MaxWidth = -1 },
+		"faultpackets": func(c *Config) { c.FaultPackets = -1 },
+	} {
+		var cfg Config
+		set(&cfg)
+		if _, err := Explore(cfg); err == nil || !strings.Contains(err.Error(), "negative bound") {
+			t.Errorf("%s: Explore err=%v, want negative-bound rejection", name, err)
+		}
+		if _, _, err := Replay(cfg, nil); err == nil || !strings.Contains(err.Error(), "negative bound") {
+			t.Errorf("%s: Replay err=%v, want negative-bound rejection", name, err)
+		}
+	}
+}
+
 // ShrinkTrace on a passing trace is an error; on a failing one it must
 // return a trace no longer than the input that still fails.
 func TestShrinkTrace(t *testing.T) {

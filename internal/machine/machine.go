@@ -79,13 +79,12 @@ type Machine struct {
 	St    *stats.Machine
 	Rel   *cmmu.Reliable // nil unless the reliability sublayer is interposed
 	Nodes []*Node
-	Trace *trace.Buffer      // nil unless EnableTrace was called
-	Prof  *metrics.Profiler  // nil unless EnableMetrics was called
+	Trace *trace.Buffer     // nil unless EnableTrace was called
+	Prof  *metrics.Profiler // nil unless EnableMetrics was called
 }
 
 // EnableTrace attaches an event trace buffer keeping the most recent cap
 // events from the memory system, the network interfaces and the runtime.
-//alewife:engine-only
 func (m *Machine) EnableTrace(cap int) *trace.Buffer {
 	m.Trace = trace.New(cap)
 	m.Fab.Trace = m.Trace
@@ -104,7 +103,6 @@ func (m *Machine) EnableTrace(cap int) *trace.Buffer {
 // single nil branch. Metrics are pure bookkeeping — enabling them never
 // changes simulated timing, so determinism goldens hold either way.
 // Finalize the profiler with the engine's final Now() after the run.
-//alewife:engine-only
 func (m *Machine) EnableMetrics() *metrics.Profiler {
 	m.Prof = metrics.New(m.Cfg.Nodes)
 	m.Fab.Prof = m.Prof
@@ -143,7 +141,6 @@ type Node struct {
 
 // StealCycles implements mem.ProcSink and cmmu.ProcSink; cycles charged
 // through it directly carry no attribution origin (tests use this).
-//alewife:engine-only
 func (m *Machine) StealCycles(node int, cycles uint64) {
 	m.Nodes[node].stolen += cycles
 }
@@ -245,7 +242,6 @@ func New(cfg Config) *Machine {
 // Run drives the simulation until the event queue drains; it panics with a
 // context dump if contexts remain blocked (deadlock in the simulated
 // program or a protocol bug).
-//alewife:engine-only
 func (m *Machine) Run() {
 	m.Eng.Run()
 	if m.Eng.Live() > 0 {
@@ -262,7 +258,6 @@ func (m *Machine) Micros(cycles uint64) float64 {
 // Spawn starts body on node's processor at time `at` and returns its Proc.
 // The runtime system layers threads on top; tests and microbenchmarks use
 // Spawn directly.
-//alewife:engine-only
 func (m *Machine) Spawn(node int, at sim.Time, name string, body func(*Proc)) *Proc {
 	p := &Proc{Node: m.Nodes[node], prof: m.Prof}
 	p.Ctx = m.Eng.Spawn(fmt.Sprintf("n%d:%s", node, name), at, func(ctx *sim.Context) {

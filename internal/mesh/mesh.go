@@ -211,7 +211,6 @@ func (m *Mesh) flits(bytes int) uint64 {
 }
 
 // Send implements Network. Routing is X-first then Y, matching Alewife.
-//alewife:engine-only
 func (m *Mesh) Send(src, dst int, bytes int, at sim.Time, deliver func()) {
 	t := m.route(src, dst, bytes, at)
 	if m.p.Fault != nil {
@@ -229,7 +228,6 @@ func (m *Mesh) Send(src, dst int, bytes int, at sim.Time, deliver func()) {
 
 // SendMsg implements Network: identical timing/ordering to Send, pooled
 // closure-free delivery.
-//alewife:engine-only
 func (m *Mesh) SendMsg(src, dst int, bytes int, at sim.Time, s sim.Sink, op uint32, p0, p1 uint64) {
 	t := m.route(src, dst, bytes, at)
 	if m.p.Fault != nil {
@@ -408,7 +406,6 @@ func (i *Ideal) Dist(src, dst int) int {
 }
 
 // Send implements Network.
-//alewife:engine-only
 func (i *Ideal) Send(src, dst int, bytes int, at sim.Time, deliver func()) {
 	t := i.arrival(src, dst, bytes, at)
 	if i.Fault != nil {
@@ -425,7 +422,6 @@ func (i *Ideal) Send(src, dst int, bytes int, at sim.Time, deliver func()) {
 }
 
 // SendMsg implements Network: same timing as Send, pooled delivery.
-//alewife:engine-only
 func (i *Ideal) SendMsg(src, dst int, bytes int, at sim.Time, s sim.Sink, op uint32, p0, p1 uint64) {
 	t := i.arrival(src, dst, bytes, at)
 	if i.Fault != nil {

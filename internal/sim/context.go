@@ -56,7 +56,6 @@ func (c *Context) Done() bool { return c.done }
 
 // Spawn creates a context whose body starts running at time `at`. The body
 // executes in simulation order; fn returning ends the context.
-//alewife:engine-only
 func (e *Engine) Spawn(name string, at Time, fn func(*Context)) *Context {
 	c := &Context{eng: e, name: name, Node: -1}
 	e.nlive++
@@ -107,17 +106,17 @@ func (c *Context) WaitUntil(t Time) {
 	r.at, r.seq, r.ctx, r.gen = t, e.seq, c, c.gen
 	e.q.push(r)
 	// Solo-wake fast path: if our own wake is the next due event and the
-	// run's bounds allow dispatching it now, consume it inline — advance
+	// run's budget allows dispatching it now, consume it inline — advance
 	// the clock and keep running without yielding to the loop. Dispatch
 	// order is unchanged: the record was the exact next pop, so this is the
 	// same transfer the loop would have performed, minus the park. Disabled
 	// under a chooser: other events ready at the same cycle must be offered
 	// as alternatives, so every dispatch has to go through the loop.
-	if e.chooser == nil && !e.halted && !(e.bounded && t > e.bound) && !(e.budgeted && e.budget == 0) && e.q.peek() == r {
+	if e.chooser == nil && !e.halted && !(e.budgeted && e.budget == 0) && e.q.peek() == r {
 		if e.budgeted {
 			e.budget--
 		}
-		e.q.next(e.bound, e.bounded) // pops r: it is the head, within bound
+		e.q.next() // pops r: it is the head
 		e.q.put(r)
 		e.now = t
 		c.gen++

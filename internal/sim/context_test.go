@@ -147,31 +147,6 @@ func TestRunLimitCountsSoloWakes(t *testing.T) {
 	}
 }
 
-// A RunUntil bound must stop a solo-sleeping context exactly like the
-// central loop did: the wake past the bound stays queued, the clock clamps
-// to the bound, and the context resumes on the next run.
-func TestRunUntilBoundsSoloWake(t *testing.T) {
-	e := NewEngine()
-	var wokeAt []Time
-	e.Spawn("solo", 0, func(c *Context) {
-		c.Sleep(10) // within bound: solo fast path
-		wokeAt = append(wokeAt, c.Now())
-		c.Sleep(100) // past bound: must park
-		wokeAt = append(wokeAt, c.Now())
-	})
-	e.RunUntil(50)
-	if e.Now() != 50 {
-		t.Fatalf("clock = %d, want 50", e.Now())
-	}
-	if len(wokeAt) != 1 || wokeAt[0] != 10 {
-		t.Fatalf("wakes before bound = %v, want [10]", wokeAt)
-	}
-	e.Run()
-	if len(wokeAt) != 2 || wokeAt[1] != 110 {
-		t.Fatalf("wakes after resume = %v, want [10 110]", wokeAt)
-	}
-}
-
 // An event scheduled for the same cycle before a context sleeps must win the
 // (at, seq) race over the later-armed wake, forcing the slow path: the solo
 // shortcut may only fire when the wake is the true queue head.

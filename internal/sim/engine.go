@@ -13,8 +13,7 @@
 // context runs until it parks, yielding back to the loop. A context whose
 // own wake is the next due event consumes it inline without yielding (the
 // solo-wake fast path in WaitUntil). The loop returns to the Run caller when
-// a stop condition is reached: queue drained, Halt, a RunUntil bound or a
-// RunLimit budget.
+// a stop condition is reached: queue drained, Halt or a RunLimit budget.
 //
 // Scheduling is a pooled two-level ladder queue (see ladder.go): typed event
 // records from a free list, time-indexed buckets for the near future, a
@@ -39,10 +38,8 @@ type Engine struct {
 	seq    uint64
 	nlive  int // live (un-finished) contexts
 	halted bool
-	// Bounds of the current run, consulted by the dispatch loop and by the
+	// Budget of the current run, consulted by the dispatch loop and by the
 	// solo-wake fast path on every dispatch.
-	bounded  bool
-	bound    Time // no event after bound fires while bounded (RunUntil)
 	budgeted bool
 	budget   uint64 // events left to dispatch while budgeted (RunLimit)
 	// ctxs tracks spawned contexts for deadlock diagnostics. Finished
@@ -67,7 +64,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently corrupt causality.
-//alewife:engine-only
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
@@ -80,6 +76,7 @@ func (e *Engine) At(t Time, fn func()) {
 
 // atWake schedules a closure-free context wake-up record (the hot path of
 // Block/Unblock; WaitUntil arms its record inline for the solo-wake check).
+//
 //alewife:hotpath
 func (e *Engine) atWake(t Time, c *Context, gen uint64) {
 	if t < e.now {
@@ -92,7 +89,6 @@ func (e *Engine) atWake(t Time, c *Context, gen uint64) {
 }
 
 // After schedules fn to run d cycles from now.
-//alewife:engine-only
 func (e *Engine) After(d uint64, fn func()) { e.At(e.now+d, fn) }
 
 // Sink receives pooled closure-free events scheduled with AtSink. The
@@ -106,7 +102,6 @@ type Sink interface {
 
 // AtSink schedules s.Fire(op, p0, p1) at absolute time t using a pooled
 // record — the closure-free analogue of At for subsystem hot paths.
-//alewife:engine-only
 func (e *Engine) AtSink(t Time, s Sink, op uint32, p0, p1 uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
@@ -175,7 +170,6 @@ type SinkInfo interface {
 // changes which schedules run, never which schedules are possible: any
 // pick corresponds to a legal (at, seq)-respecting execution at that
 // cycle. Must not be called while a run is in progress.
-//alewife:engine-only
 func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
 
 // nextChosen is the chooser-aware analogue of ladder.next: it collects
@@ -187,7 +181,7 @@ func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
 // work); otherwise dispatch semantics match the default path exactly.
 func (e *Engine) nextChosen() *event {
 	for {
-		cands := e.q.candidates(e.bound, e.bounded, e.candBuf[:0])
+		cands := e.q.candidates(e.candBuf[:0])
 		e.candBuf = cands
 		if len(cands) == 0 {
 			return nil
@@ -240,7 +234,6 @@ func (e *Engine) describe(r *event) Choice {
 
 // Halt stops the run loop after the current event completes. Used by drivers
 // that reached their measurement and do not care about draining the queue.
-//alewife:engine-only
 func (e *Engine) Halt() { e.halted = true }
 
 // dispatch is the dispatch loop, run on the goroutine that called Run: it
@@ -254,7 +247,7 @@ func (e *Engine) dispatch() {
 		if e.chooser != nil {
 			r = e.nextChosen()
 		} else {
-			r = e.q.next(e.bound, e.bounded)
+			r = e.q.next()
 		}
 		if r == nil {
 			return
@@ -290,10 +283,9 @@ func (e *Engine) dispatch() {
 
 // Run executes events in time order until the queue is empty or Halt is
 // called. It must be called from the goroutine that created the engine.
-//alewife:engine-only
 func (e *Engine) Run() {
 	e.halted = false
-	e.bounded, e.budgeted = false, false
+	e.budgeted = false
 	e.dispatch()
 }
 
@@ -301,10 +293,8 @@ func (e *Engine) Run() {
 // empty queue or Halt. It reports whether the queue drained: false means the
 // budget was exhausted first — the caller (e.g. the protocol fuzzer, whose
 // broken-protocol mutations can livelock) should treat the run as stuck.
-//alewife:engine-only
 func (e *Engine) RunLimit(max uint64) bool {
 	e.halted = false
-	e.bounded = false
 	e.budgeted, e.budget = true, max
 	e.dispatch()
 	e.budgeted = false
@@ -312,18 +302,4 @@ func (e *Engine) RunLimit(max uint64) bool {
 		return e.q.size == 0
 	}
 	return true
-}
-
-// RunUntil executes events up to and including time t, leaving later events
-// queued. The clock ends at t even if the queue drains earlier.
-//alewife:engine-only
-func (e *Engine) RunUntil(t Time) {
-	e.halted = false
-	e.budgeted = false
-	e.bounded, e.bound = true, t
-	e.dispatch()
-	e.bounded = false
-	if e.now < t {
-		e.now = t
-	}
 }

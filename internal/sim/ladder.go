@@ -127,13 +127,11 @@ func (l *ladder) pushNear(r *event) {
 	l.near++
 }
 
-// next dequeues the earliest record, or returns nil when the queue is empty
-// or (bounded) when the earliest record fires after bound. The cursor never
-// advances past the minimum pending record or past bound — the engine's
-// clock stops at bound, so events may still legally be scheduled anywhere in
-// [bound, min-pending) and must land ahead of the cursor, not behind it in
-// the ring.
-func (l *ladder) next(bound Time, bounded bool) *event {
+// next dequeues the earliest record, or returns nil when the queue is
+// empty. The cursor advances only to the time of the record it returns, so
+// the clock never passes a pending record and every event later scheduled
+// at or after the clock lands ahead of the cursor.
+func (l *ladder) next() *event {
 	if l.size == 0 {
 		return nil
 	}
@@ -144,23 +142,10 @@ func (l *ladder) next(bound Time, bounded bool) *event {
 		if l.near == 0 {
 			// Everything pending is far-future: jump the cursor to the
 			// overflow minimum and let migration pull it in.
-			t := l.ovf[0].at
-			if bounded && t > bound {
-				return nil
-			}
-			l.base = t
+			l.base = l.ovf[0].at
 			continue
 		}
 		at := l.base + Time(l.nextOccupied())
-		if bounded && at > bound {
-			// Clamp, don't jump: advancing to `at` would strand an event
-			// later scheduled in [bound, at) behind the cursor, delaying it
-			// by a full window lap and firing it out of (at, seq) order.
-			if bound > l.base {
-				l.base = bound
-			}
-			return nil
-		}
 		l.base = at
 		idx := int(at & ladderMask)
 		b := &l.buckets[idx]
@@ -178,14 +163,13 @@ func (l *ladder) next(bound Time, bounded bool) *event {
 }
 
 // candidates advances the cursor exactly as next would — eager overflow
-// migration, far-future jump, bound clamping — and appends the whole FIFO
-// chain of the minimum pending bucket to buf without dequeuing anything.
-// Because the ring maps each in-window cycle to exactly one bucket, every
-// record returned shares the minimum pending timestamp: these are all the
-// events legally able to fire next, in seq order. Returns buf unchanged
-// when the queue is empty or (bounded) the minimum fires after bound.
-// Pair with take to remove the chosen record.
-func (l *ladder) candidates(bound Time, bounded bool, buf []*event) []*event {
+// migration, far-future jump — and appends the whole FIFO chain of the
+// minimum pending bucket to buf without dequeuing anything. Because the
+// ring maps each in-window cycle to exactly one bucket, every record
+// returned shares the minimum pending timestamp: these are all the events
+// legally able to fire next, in seq order. Returns buf unchanged when the
+// queue is empty. Pair with take to remove the chosen record.
+func (l *ladder) candidates(buf []*event) []*event {
 	if l.size == 0 {
 		return buf
 	}
@@ -194,21 +178,10 @@ func (l *ladder) candidates(bound Time, bounded bool, buf []*event) []*event {
 			l.pushNear(l.ovfPop())
 		}
 		if l.near == 0 {
-			t := l.ovf[0].at
-			if bounded && t > bound {
-				return buf
-			}
-			l.base = t
+			l.base = l.ovf[0].at
 			continue
 		}
 		at := l.base + Time(l.nextOccupied())
-		if bounded && at > bound {
-			// Clamp, don't jump — same reasoning as next.
-			if bound > l.base {
-				l.base = bound
-			}
-			return buf
-		}
 		l.base = at
 		for r := l.buckets[int(at&ladderMask)].head; r != nil; r = r.next {
 			buf = append(buf, r)

@@ -69,63 +69,48 @@ func TestLadderEmptyJump(t *testing.T) {
 	}
 }
 
-// TestLadderRunUntilBoundary leaves exactly the post-bound events queued,
-// including ones parked in the overflow tier.
-func TestLadderRunUntilBoundary(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(5, func() { ran++ })
-	e.At(ladderWindow+5, func() { ran++ })
-	e.At(5*ladderWindow, func() { ran++ })
-	e.RunUntil(ladderWindow + 5)
-	if ran != 2 || e.Pending() != 1 || e.Now() != ladderWindow+5 {
-		t.Fatalf("ran=%d pending=%d now=%d", ran, e.Pending(), e.Now())
-	}
-	e.Run()
-	if ran != 3 || e.Pending() != 0 {
-		t.Fatalf("drain ran=%d pending=%d", ran, e.Pending())
-	}
-}
-
-// TestLadderRunUntilThenScheduleEarlier interleaves RunUntil with scheduling:
-// a bound that fires nothing must not advance the cursor past the bound, or
-// an event then scheduled between the bound and the first pending event lands
-// behind the cursor and is delayed (or reordered) by a full window lap.
-func TestLadderRunUntilThenScheduleEarlier(t *testing.T) {
+// TestLadderHaltLeavesBothTiersQueued stops a run with events pending in
+// both tiers: they stay queued, and an event then scheduled below the
+// pending minimum still fires first, so the cursor did not run ahead of
+// the clock.
+func TestLadderHaltLeavesBothTiersQueued(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.At(100, func() { fired = append(fired, e.Now()) })
-	e.RunUntil(50) // fires nothing; clock stops at 50
-	if e.Now() != 50 {
-		t.Fatalf("clock after empty RunUntil = %d, want 50", e.Now())
-	}
-	e.At(60, func() { fired = append(fired, e.Now()) })
-	e.RunUntil(70)
-	if len(fired) != 1 || fired[0] != 60 {
-		t.Fatalf("after RunUntil(70) fired = %v, want [60]", fired)
-	}
-	if e.Now() != 70 {
-		t.Fatalf("clock = %d, want 70", e.Now())
-	}
+	record := func() { fired = append(fired, e.Now()) }
+	e.At(5, func() { record(); e.Halt() })
+	e.At(ladderWindow+5, record)
+	e.At(5*ladderWindow, record) // overflow tier
 	e.Run()
-	if len(fired) != 2 || fired[1] != 100 {
-		t.Fatalf("after drain fired = %v, want [60 100]", fired)
+	if len(fired) != 1 || e.Pending() != 2 || e.Now() != 5 {
+		t.Fatalf("after halt fired=%v pending=%d now=%d", fired, e.Pending(), e.Now())
+	}
+	e.At(60, record)
+	e.Run()
+	want := []Time{5, 60, ladderWindow + 5, 5 * ladderWindow}
+	if len(fired) != len(want) || e.Pending() != 0 {
+		t.Fatalf("after drain fired=%v pending=%d, want %v", fired, e.Pending(), want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
 	}
 }
 
-// TestLadderRunUntilScheduleAcrossLap repeats the interleaving with gaps
-// larger than the near window, so pending minima sit in the overflow tier
-// while events are scheduled below the bound; order and clock monotonicity
-// must hold throughout.
-func TestLadderRunUntilScheduleAcrossLap(t *testing.T) {
+// TestLadderScheduleAcrossLap schedules from callbacks while the pending
+// minimum sits in the overflow tier, with gaps larger than the near window,
+// so the ring wraps between pushes; order and clock monotonicity must hold.
+func TestLadderScheduleAcrossLap(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
 	record := func() { fired = append(fired, e.Now()) }
 	e.At(3*ladderWindow, record)
-	e.RunUntil(ladderWindow) // nothing eligible; pending min is in overflow
-	e.At(ladderWindow+2, record)
-	e.RunUntil(2 * ladderWindow)
-	e.At(2*ladderWindow+1, record)
+	e.At(1, func() {
+		e.At(ladderWindow+2, func() {
+			record()
+			e.At(2*ladderWindow+1, record)
+		})
+	})
 	e.Run()
 	want := []Time{ladderWindow + 2, 2*ladderWindow + 1, 3 * ladderWindow}
 	if len(fired) != len(want) {
@@ -134,9 +119,6 @@ func TestLadderRunUntilScheduleAcrossLap(t *testing.T) {
 	for i := range want {
 		if fired[i] != want[i] {
 			t.Fatalf("fired %v, want %v", fired, want)
-		}
-		if i > 0 && fired[i] < fired[i-1] {
-			t.Fatalf("clock regressed: %v", fired)
 		}
 	}
 }
@@ -244,7 +226,7 @@ func TestLadderPeek(t *testing.T) {
 	// Drain and re-check peek == next at every step.
 	for l.size > 0 {
 		want := l.peek()
-		got := l.next(0, false)
+		got := l.next()
 		if got != want {
 			t.Fatalf("peek (at %d, seq %d) != next (at %d, seq %d)", want.at, want.seq, got.at, got.seq)
 		}
@@ -268,7 +250,7 @@ func TestLadderPeekOverflowOnly(t *testing.T) {
 	if l.base != 0 {
 		t.Fatalf("peek advanced the cursor to %d", l.base)
 	}
-	if got := l.next(0, false); got != r {
+	if got := l.next(); got != r {
 		t.Fatal("next after peek wrong")
 	}
 }
