@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"alewife/internal/machine"
 	"alewife/internal/stats"
 	"alewife/internal/trace"
@@ -38,7 +36,7 @@ func (rt *RT) newThread(t *Task, c *core) *Thread {
 func (th *Thread) start() {
 	c := th.core
 	rt := c.rt
-	th.proc = rt.M.Spawn(c.id, rt.M.Eng.Now(), fmt.Sprintf("thr%d", th.id),
+	th.proc = rt.M.SpawnNumbered(c.id, rt.M.Eng.Now(), "thr", th.id,
 		func(p *machine.Proc) {
 			tc := &TC{P: p, RT: rt, thread: th, core: c}
 			th.task.fn(tc)

@@ -244,9 +244,11 @@ func New(cfg Config) *Machine {
 // program or a protocol bug).
 func (m *Machine) Run() {
 	m.Eng.Run()
-	if m.Eng.Live() > 0 {
+	if n := m.Eng.Live(); n > 0 {
+		stuck := m.Eng.Stuck()
+		m.Eng.Release()
 		panic(fmt.Sprintf("machine: deadlock — %d contexts still blocked with no pending events: %v",
-			m.Eng.Live(), m.Eng.Stuck()))
+			n, stuck))
 	}
 }
 
@@ -257,13 +259,23 @@ func (m *Machine) Micros(cycles uint64) float64 {
 
 // Spawn starts body on node's processor at time `at` and returns its Proc.
 // The runtime system layers threads on top; tests and microbenchmarks use
-// Spawn directly.
+// Spawn directly. The context is named "n<node>:<name>".
 func (m *Machine) Spawn(node int, at sim.Time, name string, body func(*Proc)) *Proc {
-	p := &Proc{Node: m.Nodes[node], prof: m.Prof}
-	p.Ctx = m.Eng.Spawn(fmt.Sprintf("n%d:%s", node, name), at, func(ctx *sim.Context) {
+	return m.spawn(&Proc{Node: m.Nodes[node], prof: m.Prof, name: name}, at, body)
+}
+
+// SpawnNumbered is Spawn for one of a numbered family of contexts (the
+// runtime's threads, a processor's hardware contexts): the context is named
+// "n<node>:<name><num>", formatted only when the name is read.
+func (m *Machine) SpawnNumbered(node int, at sim.Time, name string, num uint64, body func(*Proc)) *Proc {
+	return m.spawn(&Proc{Node: m.Nodes[node], prof: m.Prof, name: name, num: num, numbered: true}, at, body)
+}
+
+func (m *Machine) spawn(p *Proc, at sim.Time, body func(*Proc)) *Proc {
+	p.Ctx = m.Eng.SpawnNamed(p, at, func(ctx *sim.Context) {
 		body(p)
 	})
-	p.Ctx.Node = int32(node)
+	p.Ctx.Node = int32(p.Node.ID)
 	if p.prof != nil {
 		p.Ctx.BlockNote = p.noteBlock
 	}

@@ -1,6 +1,8 @@
 package machine_test
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -265,5 +267,58 @@ func TestStolenCyclesDrainAtFlush(t *testing.T) {
 	m.Run()
 	if done != 55 {
 		t.Fatalf("finished at %d, want 55 (10+40+5)", done)
+	}
+}
+
+// Context names are formatted only when read, and read as they always have:
+// "n<node>:<name>", with SpawnNumbered's number appended. A deadlock report
+// names the stuck contexts that way, and ends them before it panics.
+func TestContextNames(t *testing.T) {
+	base := runtime.NumGoroutine()
+	m := machine.New(machine.DefaultConfig(4))
+	p := m.Spawn(2, 0, "worker", func(p *machine.Proc) {})
+	q := m.SpawnNumbered(3, 0, "thr", 42, func(p *machine.Proc) { p.Block() })
+	var hw []string
+	hwBody := func(c *machine.MPContext) {
+		c.Elapse(10)
+		hw = append(hw, c.P.Ctx.Name())
+	}
+	m.SpawnMulti(1, 0, []func(*machine.MPContext){hwBody, hwBody})
+	for _, tc := range []struct {
+		ctx  *sim.Context
+		want string
+	}{{p.Ctx, "n2:worker"}, {q.Ctx, "n3:thr42"}} {
+		if got := tc.ctx.Name(); got != tc.want {
+			t.Errorf("Name() = %q, want %q", got, tc.want)
+		}
+	}
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		m.Run()
+	}()
+	if want := "machine: deadlock — 1 contexts still blocked with no pending events: [ctx(n3:thr42,blocked)]"; msg != want {
+		t.Fatalf("deadlock report %q, want %q", msg, want)
+	}
+	if fmt.Sprint(hw) != "[n1:hw0 n1:hw1]" {
+		t.Fatalf("hardware context names %v, want [n1:hw0 n1:hw1]", hw)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the deadlocked run, %d before", n, base)
+	}
+}
+
+// Building a 64-node machine allocates its caches, directories and network,
+// not its 32 MB of simulated memory: the store allocates a 4 KB page on the
+// page's first write. (The store alone was 32 MB of the 40 MB a build took.)
+func TestNewMachineBytes(t *testing.T) {
+	const limit = 8 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := machine.New(machine.DefaultConfig(64))
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("machine.New(DefaultConfig(64)) allocated %d bytes, want <= %d", got, limit)
 	}
 }

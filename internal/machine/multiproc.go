@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"alewife/internal/mem"
 	"alewife/internal/sim"
 )
@@ -50,7 +48,7 @@ func (m *Machine) SpawnMulti(node int, at sim.Time, bodies []func(*MPContext)) *
 		i, body := i, body
 		c := &MPContext{mp: mp, idx: i}
 		mp.ctxs = append(mp.ctxs, c)
-		c.P = m.Spawn(node, at, fmt.Sprintf("hw%d", i), func(p *Proc) {
+		c.P = m.SpawnNumbered(node, at, "hw", uint64(i), func(p *Proc) {
 			c.acquireAtStart()
 			body(c)
 			p.Flush()

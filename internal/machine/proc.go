@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"strconv"
+
 	"alewife/internal/cmmu"
 	"alewife/internal/mem"
 	"alewife/internal/metrics"
@@ -21,6 +23,11 @@ type Proc struct {
 	Node *Node
 	Ctx  *sim.Context
 
+	// The context's name in parts, formatted by String when it is read.
+	name     string
+	num      uint64
+	numbered bool
+
 	ahead uint64 // locally accumulated cycles not yet on the global clock
 
 	// Attribution state, live only when the machine's profiler is enabled
@@ -35,6 +42,16 @@ type Proc struct {
 	aheadMsg  uint64
 	region    [4]metrics.Bucket
 	rlen      int
+}
+
+// String returns the name of the Proc's context: "n<node>:<name>", with
+// the number appended for a SpawnNumbered context.
+func (p *Proc) String() string {
+	s := "n" + strconv.Itoa(p.Node.ID) + ":" + p.name
+	if p.numbered {
+		s += strconv.FormatUint(p.num, 10)
+	}
+	return s
 }
 
 // mp returns the memory cost model.

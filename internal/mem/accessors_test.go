@@ -43,6 +43,62 @@ func TestStoreAccessors(t *testing.T) {
 	}
 }
 
+// The store allocates a page on its first write: a word on a page never
+// written reads 0 through both views, and writing one word leaves its
+// neighbours, and every other page, reading 0.
+func TestStoreUntouchedReadsZero(t *testing.T) {
+	s := NewStore(4, 1<<12)
+	for _, a := range []Addr{0, 511, 512, 3 << 12, 4<<12 - 1} {
+		if s.Read(a) != 0 || s.ReadF(a) != 0 {
+			t.Fatalf("untouched word %#x reads %d / %v, want 0", a, s.Read(a), s.ReadF(a))
+		}
+	}
+	s.Write(1000, 7)
+	s.WriteF(5000, -1.5)
+	if s.Read(1000) != 7 || s.ReadF(5000) != -1.5 {
+		t.Fatal("written words lost")
+	}
+	if s.Read(999) != 0 || s.Read(1001) != 0 || s.Read(4999) != 0 {
+		t.Fatal("a write leaked into its neighbours")
+	}
+	written := 0
+	for _, p := range s.pages {
+		if p != nil {
+			written++
+		}
+	}
+	if written != 2 {
+		t.Fatalf("%d pages allocated after writes to 2 pages", written)
+	}
+}
+
+// Every access beyond the store panics, including one that lands on the
+// tail of a last page the store does not fill (3 x 100 words: one page).
+func TestStoreOutOfRangePanics(t *testing.T) {
+	for _, s := range []*Store{NewStore(4, 1<<12), NewStore(3, 100)} {
+		end := Addr(uint64(s.Nodes()) * s.WordsPerNode())
+		s.Write(end-1, 1) // allocate the last page
+		for name, access := range map[string]func(Addr){
+			"Read":   func(a Addr) { s.Read(a) },
+			"ReadF":  func(a Addr) { s.ReadF(a) },
+			"Write":  func(a Addr) { s.Write(a, 1) },
+			"WriteF": func(a Addr) { s.WriteF(a, 1) },
+		} {
+			for _, a := range []Addr{end, end + 1, end + 1<<20} {
+				if !panics(func() { access(a) }) {
+					t.Errorf("%s(%#x) on a %d-word store did not panic", name, a, end)
+				}
+			}
+		}
+	}
+}
+
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
 func TestCacheAccessors(t *testing.T) {
 	c := NewCache(8, 2)
 	if c.Sets() != 8 || c.Ways() != 2 {

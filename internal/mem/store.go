@@ -9,20 +9,36 @@ import (
 // node i owns word addresses [i*WordsPerNode, (i+1)*WordsPerNode). The home
 // of an address is fixed by that partition, as in Alewife (physical memory
 // distributed among the processing nodes).
+//
+// The words live in fixed-size pages allocated on first write; a word on a
+// page never written reads 0. A 64-node machine spans 32 MB of simulated
+// memory and the workloads write a small part of it, so memory that is never
+// written is never allocated or zeroed.
 type Store struct {
 	nodes    int
 	wordsPer uint64
-	homeSh   uint // log2(wordsPer) when it is a power of two, else 0
-	data     []uint64
+	homeSh   uint   // log2(wordsPer) when it is a power of two, else 0
+	size     uint64 // nodes * wordsPer: the first address outside the store
+	pages    []*page
 	brk      []uint64 // per-node bump allocator offset
 }
 
+// A page is 512 words, 4 KB.
+const (
+	pageShift = 9
+	pageWords = 1 << pageShift
+)
+
+type page [pageWords]uint64
+
 // NewStore builds a store for n nodes with wordsPerNode words each.
 func NewStore(n int, wordsPerNode uint64) *Store {
+	size := uint64(n) * wordsPerNode
 	s := &Store{
 		nodes:    n,
 		wordsPer: wordsPerNode,
-		data:     make([]uint64, uint64(n)*wordsPerNode),
+		size:     size,
+		pages:    make([]*page, (size+pageWords-1)>>pageShift),
 		brk:      make([]uint64, n),
 	}
 	if wordsPerNode > 1 && wordsPerNode&(wordsPerNode-1) == 0 {
@@ -50,22 +66,47 @@ func (s *Store) Home(a Addr) int {
 		h = int(uint64(a) / s.wordsPer)
 	}
 	if h < 0 || h >= s.nodes {
-		panic(fmt.Sprintf("mem: address %#x outside store", uint64(a)))
+		panic(outside(a))
 	}
 	return h
 }
 
-// Read returns the word at a.
-func (s *Store) Read(a Addr) uint64 { return s.data[a] }
+// Read returns the word at a; a word never written reads 0.
+func (s *Store) Read(a Addr) uint64 {
+	if uint64(a) >= s.size {
+		panic(outside(a))
+	}
+	if p := s.pages[a>>pageShift]; p != nil {
+		return p[a%pageWords]
+	}
+	return 0
+}
 
 // Write sets the word at a.
-func (s *Store) Write(a Addr, v uint64) { s.data[a] = v }
+func (s *Store) Write(a Addr, v uint64) {
+	if uint64(a) >= s.size {
+		panic(outside(a))
+	}
+	p := s.pages[a>>pageShift]
+	if p == nil { // first write to this page
+		p = new(page)
+		s.pages[a>>pageShift] = p
+	}
+	p[a%pageWords] = v
+}
+
+// outside is the panic value of an access beyond the store.
+type outside Addr
+
+func (o outside) Error() string {
+	return fmt.Sprintf("mem: address %#x outside store", uint64(o))
+}
 
 // ReadF returns the word at a interpreted as a float64.
-func (s *Store) ReadF(a Addr) float64 { return math.Float64frombits(s.data[a]) }
+func (s *Store) ReadF(a Addr) float64 { return math.Float64frombits(s.Read(a)) }
 
 // WriteF stores a float64 at a.
-func (s *Store) WriteF(a Addr, v float64) { s.data[a] = math.Float64bits(v) }
+func (s *Store) WriteF(a Addr, v float64) { s.Write(a, math.Float64bits(v)) }
 
 // AllocOn carves n words out of node's memory, line-aligned, and returns the
 // base address. It panics when the node's memory is exhausted: simulated

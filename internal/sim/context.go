@@ -10,17 +10,30 @@ import (
 )
 
 // Context is a simulated sequential agent (a processor, a thread). Its body
-// is an iter.Pull coroutine driven by the engine's dispatch loop: a due wake
-// resumes the body through next, and the body runs until it parks in
+// runs on an iter.Pull coroutine driven by the engine's dispatch loop: a due
+// wake resumes the body through next, and the body runs until it parks in
 // WaitUntil/Sleep/Block by yielding back to the loop. Only one of the loop
 // and the bodies runs at a time, so no other context or event runs while a
 // body does.
+//
+// Coroutines outlive contexts: when a body returns, its coroutine parks on
+// the engine's idle list and the next Spawn binds it to the new context, so
+// a run with thousands of short-lived threads grows a stack and builds the
+// iter.Pull closures once per concurrently live context, not once per spawn.
+// Each spawn still gets a Context of its own, which is what stale-wake
+// checks, Stuck and retained *Context pointers see.
 type Context struct {
-	eng  *Engine
-	name string
-	// next resumes the body; yield (set when the body starts) parks it.
-	next  func() (struct{}, bool)
+	eng *Engine
+	// name, or namer when set, is the debug name; namer defers formatting
+	// until the name is read (see SpawnNamed).
+	name  string
+	namer fmt.Stringer
+	// co is the coroutine running the body, yield (set when the body
+	// starts) parks it; fn is the body until it starts. All are cleared
+	// when the body ends, so a finished context pins none of them.
+	co    coroutine
 	yield func(struct{}) bool
+	fn    func(*Context)
 	done  bool
 	// gen counts resumptions; wake events capture the generation at which
 	// they were armed so a stale wake (context already resumed by another
@@ -42,8 +55,24 @@ type Context struct {
 	Node int32
 }
 
+// coroutine is an iter.Pull coroutine running Engine.coroutine: next
+// resumes it, stop ends it.
+type coroutine struct {
+	next func() (struct{}, bool)
+	stop func()
+}
+
+// released is the panic that unwinds a parked body whose coroutine Release
+// stopped; the coroutine recovers it silently.
+type released struct{}
+
 // Name returns the context's debug name.
-func (c *Context) Name() string { return c.name }
+func (c *Context) Name() string {
+	if c.namer != nil {
+		return c.namer.String()
+	}
+	return c.name
+}
 
 // Engine returns the owning engine.
 func (c *Context) Engine() *Engine { return c.eng }
@@ -57,29 +86,83 @@ func (c *Context) Done() bool { return c.done }
 // Spawn creates a context whose body starts running at time `at`. The body
 // executes in simulation order; fn returning ends the context.
 func (e *Engine) Spawn(name string, at Time, fn func(*Context)) *Context {
-	c := &Context{eng: e, name: name, Node: -1}
+	return e.spawn(&Context{eng: e, name: name, Node: -1}, at, fn)
+}
+
+// SpawnNamed is Spawn with a name that is formatted only when it is read
+// (Name, String, Stuck, a panic report), never on the spawn path.
+func (e *Engine) SpawnNamed(name fmt.Stringer, at Time, fn func(*Context)) *Context {
+	return e.spawn(&Context{eng: e, namer: name, Node: -1}, at, fn)
+}
+
+// spawn binds c to an idle coroutine, or starts a new one when none is
+// idle, and arms c's first wake.
+func (e *Engine) spawn(c *Context, at Time, fn func(*Context)) *Context {
+	c.fn = fn
 	e.nlive++
 	e.ctxs = append(e.ctxs, c)
-	c.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		c.yield = yield
-		defer func() {
-			// A finished context can stay reachable (the core runtime
-			// keeps every thread it started), so it must not pin its
-			// coroutine's closures and captured state.
-			c.next, c.yield = nil, nil
-			c.done = true
-			e.nlive--
-			e.retire()
-			// iter.Pull re-raises a body's panic from next, on the Run
-			// goroutine; frame it with the context's name and stack first.
-			if r := recover(); r != nil {
-				panic(fmt.Sprintf("sim: context %s panicked: %v\n--- context stack ---\n%s", name, r, debug.Stack()))
-			}
-		}()
-		fn(c)
-	})
+	if n := len(e.idle); n > 0 {
+		c.co = e.idle[n-1]
+		e.idle[n-1] = coroutine{}
+		e.idle = e.idle[:n-1]
+	} else {
+		c.co.next, c.co.stop = iter.Pull(e.coroutineFn)
+	}
 	e.atWake(at, c, 0)
 	return c
+}
+
+// coroutine is the function every context coroutine runs. Resumed for a
+// context that has not started (the one the dispatch loop is resuming,
+// e.resuming), it runs that context's body; when the body returns it parks
+// on the idle list until a Spawn binds it to the next context. It returns
+// when stopped: idle, at the end of a run, or parked mid-body by Release. A
+// body's panic ends the coroutine, which is then never reused.
+func (e *Engine) coroutine(yield func(struct{}) bool) {
+	var c *Context
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if _, ok := r.(released); ok {
+			return
+		}
+		e.finish(c)
+		// iter.Pull re-raises a body's panic from next, on the Run
+		// goroutine; frame it with the context's name and stack first.
+		panic(fmt.Sprintf("sim: context %s panicked: %v\n--- context stack ---\n%s", c.Name(), r, debug.Stack()))
+	}()
+	for {
+		c = e.resuming
+		c.yield = yield
+		fn := c.fn
+		c.fn = nil
+		fn(c)
+		co := c.co
+		e.finish(c)
+		e.idle = append(e.idle, co)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// finish marks c's body ended and unbinds its coroutine.
+func (e *Engine) finish(c *Context) {
+	c.co, c.yield = coroutine{}, nil
+	c.done = true
+	e.nlive--
+	e.retire()
+}
+
+// park yields to the dispatch loop until the context is resumed. yield
+// returns false only when Release stopped the coroutine: the body then
+// unwinds.
+func (c *Context) park() {
+	if !c.yield(struct{}{}) {
+		panic(released{})
+	}
 }
 
 // wakeAt arms a wake event at absolute time t for the current park
@@ -122,7 +205,7 @@ func (c *Context) WaitUntil(t Time) {
 		c.gen++
 		return
 	}
-	c.yield(struct{}{})
+	c.park()
 }
 
 // Sleep advances the context by d cycles.
@@ -136,11 +219,11 @@ func (c *Context) Block() {
 	c.blocked = true
 	if c.BlockNote != nil {
 		t0 := c.eng.now
-		c.yield(struct{}{})
+		c.park()
 		c.BlockNote(t0, c.eng.now)
 		return
 	}
-	c.yield(struct{}{})
+	c.park()
 }
 
 // Unblock schedules the context to resume at the current time. It must be
@@ -152,7 +235,7 @@ func (c *Context) Unblock() { c.UnblockAt(c.eng.now) }
 // dropped if the context resumed through another path first.
 func (c *Context) UnblockAt(t Time) {
 	if c.done {
-		panic("sim: unblock of finished context " + c.name)
+		panic("sim: unblock of finished context " + c.Name())
 	}
 	c.wakeAt(t)
 }
@@ -268,5 +351,5 @@ func (c *Context) String() string {
 	} else if c.blocked {
 		state = "blocked"
 	}
-	return fmt.Sprintf("ctx(%s,%s)", c.name, state)
+	return fmt.Sprintf("ctx(%s,%s)", c.Name(), state)
 }

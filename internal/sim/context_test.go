@@ -222,8 +222,10 @@ func TestBlockNoteAcrossHandoff(t *testing.T) {
 }
 
 // The context lifecycle — spawn, two sleeps, finish — allocates a fixed
-// number of objects: the Context, its coroutine's closures and captured
-// variables. A change that adds per-spawn allocations fails here.
+// number of objects: the Context and a fresh coroutine's iter.Pull state
+// (the run's return stops the idle coroutine, so every iteration builds
+// one; TestRecycledSpawnAllocs pins the reusing spawn). A change that adds
+// per-spawn allocations fails here.
 func TestContextLifecycleAllocs(t *testing.T) {
 	e := NewEngine()
 	body := func(c *Context) {
@@ -233,7 +235,7 @@ func TestContextLifecycleAllocs(t *testing.T) {
 	// Warm the event pool so the measured runs reuse its records.
 	e.Spawn("warm", e.Now(), body)
 	e.Run()
-	const want = 13
+	const want = 12
 	got := testing.AllocsPerRun(100, func() {
 		e.Spawn("life", e.Now(), body)
 		e.Run()

@@ -46,6 +46,14 @@ type Engine struct {
 	// contexts are pruned by amortized compaction (retire) and by Stuck.
 	ctxs  []*Context
 	ndone int // finished contexts not yet pruned from ctxs
+	// idle holds the coroutines of finished bodies, parked until a Spawn
+	// binds one to a new context; Run and RunLimit stop them on return.
+	// resuming is the context the dispatch loop last resumed: a coroutine
+	// starting a body reads it. coroutineFn is e.coroutine, built once so a
+	// new coroutine costs no method-value closure.
+	idle        []coroutine
+	resuming    *Context
+	coroutineFn func(yield func(struct{}) bool)
 	// chooser, when non-nil, decides which of several same-cycle events
 	// fires first (see SetChooser). candBuf/choiceBuf are its reusable
 	// scratch so choice points stay allocation-free.
@@ -56,7 +64,9 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{q: newLadder()}
+	e := &Engine{q: newLadder()}
+	e.coroutineFn = e.coroutine
+	return e
 }
 
 // Now returns the current simulation time.
@@ -266,7 +276,8 @@ func (e *Engine) dispatch() {
 			}
 			c.blocked = false
 			c.gen++
-			c.next()
+			e.resuming = c
+			c.co.next()
 			continue
 		}
 		if s := r.sink; s != nil {
@@ -284,6 +295,7 @@ func (e *Engine) dispatch() {
 // Run executes events in time order until the queue is empty or Halt is
 // called. It must be called from the goroutine that created the engine.
 func (e *Engine) Run() {
+	defer e.stopIdle()
 	e.halted = false
 	e.budgeted = false
 	e.dispatch()
@@ -294,6 +306,7 @@ func (e *Engine) Run() {
 // budget was exhausted first — the caller (e.g. the protocol fuzzer, whose
 // broken-protocol mutations can livelock) should treat the run as stuck.
 func (e *Engine) RunLimit(max uint64) bool {
+	defer e.stopIdle()
 	e.halted = false
 	e.budgeted, e.budget = true, max
 	e.dispatch()
@@ -302,4 +315,35 @@ func (e *Engine) RunLimit(max uint64) bool {
 		return e.q.size == 0
 	}
 	return true
+}
+
+// stopIdle ends every idle coroutine, so no goroutine outlives a run. A
+// run that stops with contexts still parked keeps theirs: it can be
+// resumed. Release ends those.
+func (e *Engine) stopIdle() {
+	for i, co := range e.idle {
+		e.idle[i] = coroutine{}
+		co.stop()
+	}
+	e.idle = e.idle[:0]
+}
+
+// Release ends every context that has not finished, for a run that will
+// not be resumed (halted, out of budget or deadlocked): each parked body
+// unwinds from its park without simulating further, running its deferred
+// calls, and its coroutine exits. The contexts then read as done, so their
+// pending wakes are dropped. Until it is called, every parked context's
+// coroutine is a live goroutine that keeps all its body reaches alive.
+func (e *Engine) Release() {
+	for _, c := range e.ctxs {
+		if c.done {
+			continue
+		}
+		c.co.stop()
+		c.co, c.yield, c.fn = coroutine{}, nil, nil
+		c.done = true
+		e.nlive--
+	}
+	e.pruneCtxs()
+	e.stopIdle()
 }

@@ -63,6 +63,10 @@ func Run[T any](n, workers int, job func(i int) T) []T {
 		}
 		return results
 	}
+	// Worker w starts on job w before it takes jobs from the channel, so
+	// the first jobs always run on distinct goroutines, however short they
+	// are: the race detector then sees sibling jobs run concurrently, which
+	// is what holds the confinement rule.
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -70,12 +74,13 @@ func Run[T any](n, workers int, job func(i int) T) []T {
 		//alewife:allow determinism worker pool is the one sanctioned spawn site: jobs share nothing and results land at distinct indices
 		go func() {
 			defer wg.Done()
+			results[w] = job(w)
 			for i := range idx {
 				results[i] = job(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := workers; i < n; i++ {
 		idx <- i
 	}
 	close(idx)

@@ -1,6 +1,7 @@
 package fanout
 
 import (
+	"bytes"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -113,4 +114,25 @@ func TestRunBoundsConcurrency(t *testing.T) {
 	if peak > 2 {
 		t.Fatalf("peak concurrency %d with 2 workers", peak)
 	}
+}
+
+// Sibling jobs run on distinct goroutines however short they are, so the
+// race detector sees them run concurrently: two trivial jobs that each
+// touched one shared engine once passed -race when one worker ran both.
+func TestRunTrivialJobsOnDistinctGoroutines(t *testing.T) {
+	withProcs(t, 2)
+	for rep := 0; rep < 100; rep++ {
+		ids := Run(2, 2, func(int) string { return goroutineID() })
+		if ids[0] == ids[1] {
+			t.Fatalf("rep %d: both jobs ran on goroutine %s", rep, ids[0])
+		}
+	}
+}
+
+// goroutineID returns the calling goroutine's number from its stack header
+// ("goroutine 42 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	f := bytes.Fields(buf[:runtime.Stack(buf[:], false)])
+	return string(f[1])
 }

@@ -15,7 +15,7 @@ import (
 // Message types owned by the stress harness.
 const (
 	msgMailbox = 100 + iota // Ops[0] = value for the sender's mailbox slot
-	msgBulk                  // gathers a hot line by DMA; lands in scratch
+	msgBulk                 // gathers a hot line by DMA; lands in scratch
 )
 
 // Result is the outcome of one stress execution. A run is a pure function of
@@ -132,6 +132,9 @@ func execute(cfg Config, prog [][]Op) Result {
 		mcfg.Reliable = &rp
 	}
 	m := machine.New(mcfg)
+	// A halted, stuck or panicked run leaves contexts parked; ending them
+	// frees their goroutines and, with them, the machine.
+	defer m.Eng.Release()
 	m.EnableTrace(cfg.TraceCap)
 	m.Fab.Fault = cfg.MemFault
 	for _, n := range m.Nodes {

@@ -2,6 +2,7 @@ package stress
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -205,5 +206,27 @@ func TestLivelockBudget(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("expected an event-budget violation, got %v", res.Violations)
+	}
+}
+
+// A failing run ends its parked contexts: each one left behind is a
+// goroutine pinning its whole machine, and the shrinker re-runs failing
+// programs many times. Halted (violation) and out-of-budget runs both count.
+func TestFailingRunsReleaseGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for seed := uint64(1); seed <= 5; seed++ {
+		cfg := small(seed)
+		cfg.MemFault = &mem.Fault{SkipInval: true}
+		if res := mustRun(t, cfg); !res.Failed() {
+			t.Fatalf("seed %d: broken protocol not caught", seed)
+		}
+		cfg = small(seed)
+		cfg.MaxEvents = 50
+		if res := mustRun(t, cfg); !res.Failed() {
+			t.Fatalf("seed %d: budget exhaustion not reported", seed)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after 10 failing runs, %d before", n, base)
 	}
 }
